@@ -36,17 +36,21 @@ class Clock final : public des::TimeSource {
   /// scheduling quantum early/late, so sleep_until aims short and a spin
   /// tail covers the final stretch — the pacing error of the realtime
   /// generator is the spin-tail granularity (~µs), not the OS timer slack
-  /// (~ms). Returns immediately if `target` has passed.
-  void SleepUntil(SimTime target) const {
+  /// (~ms). Returns the clock time it last observed (>= target): a caller
+  /// already at or past `target` pays exactly one clock read.
+  SimTime SleepUntil(SimTime target) const {
+    SimTime t = now();
+    if (t >= target) return t;
     // Leave the tail to the spinner; 200µs covers typical timer slack.
     constexpr SimTime kSpinTailUs = 200;
     const SimTime coarse = target - kSpinTailUs;
-    if (coarse > now()) {
+    if (coarse > t) {
       std::this_thread::sleep_until(epoch_ + std::chrono::microseconds(coarse));
     }
-    while (now() < target) {
-      // spin tail
-    }
+    do {
+      t = now();  // spin tail
+    } while (t < target);
+    return t;
   }
 
  private:

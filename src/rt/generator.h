@@ -40,8 +40,10 @@ class Generator {
   /// Paced mode: block until the wall clock reaches the planned emission
   /// time (sleep_until + spin tail inside Clock::SleepUntil). A source
   /// that fell behind returns immediately — the generator is open-world
-  /// and never slows for the SUT; it just emits late.
-  void PaceTo(const Clock& clock) const { clock.SleepUntil(planned_); }
+  /// and never slows for the SUT; it just emits late. Returns the wall
+  /// time SleepUntil observed (>= the planned time), which the paced
+  /// source uses as the record's ingest stamp.
+  SimTime PaceTo(const Clock& clock) const { return clock.SleepUntil(planned_); }
 
  private:
   driver::RecordStream stream_;

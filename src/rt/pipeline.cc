@@ -57,7 +57,10 @@ int64_t FloorDiv(int64_t a, int64_t b) {
 /// watermark applies AFTER the records — ring FIFO order is what keeps
 /// watermarks from overtaking the records they retire. `origin` is the
 /// producing source on every envelope (the recovery path acks per ring,
-/// so tasks must know which ring each envelope came from).
+/// so tasks must know which ring each envelope came from). Envelopes
+/// circulate: the ring hands every slot's storage back to the producer on
+/// its next lap (SpscRing::TryPushSwap), so a steady-state run allocates
+/// none.
 struct Envelope {
   engine::RecordBatch records;
   bool has_watermark = false;
@@ -66,13 +69,16 @@ struct Envelope {
 };
 
 /// Round-robin non-blocking pop across several rings with the ring's
-/// spin/yield/nap backoff. Returns nullopt only once every ring is closed
-/// AND drained (a final sweep after observing closed catches the
+/// spin/yield/nap backoff, serving both the data and the sink rings. On
+/// success `*out` holds the popped element and the ring slot holds what
+/// `*out` held before (SpscRing::TryPopSwap): the consumer's spent element
+/// goes back into circulation. Returns false only once every ring is
+/// closed AND drained (a final sweep after observing closed catches the
 /// push-then-close race: the close's release makes the last push visible)
 /// — or, on the supervised/chaos path, when the slot was ordered out
 /// (`ctrl->kill`) or the pipeline aborted. With `ctrl` set, each sweep
 /// bumps the slot heartbeat so an idle-but-alive consumer never looks
-/// wedged. With `deadline` >= 0, an idle wait past it returns nullopt with
+/// wedged. With `deadline` >= 0, an idle wait past it returns false with
 /// `*timed_out` set — the transactional (Flink) task uses this to commit a
 /// checkpoint while idle: its producers may be blocked on the retained
 /// ring waiting for exactly that ack, so waiting for an envelope first
@@ -80,51 +86,42 @@ struct Envelope {
 /// first empty sweep is charged to counters->pop_wait_us (the profiler's
 /// "wait" bucket); the instant-hit fast path never reads the clock.
 template <typename T>
-std::optional<T> PopAny(std::vector<SpscRing<T>*>& rings, size_t* rr,
-                        Profiler::StageCounters* counters = nullptr,
-                        const Clock* clock = nullptr,
-                        Supervisor::SlotCtrl* ctrl = nullptr,
-                        const std::atomic<bool>* aborted = nullptr,
-                        SimTime deadline = -1, bool* timed_out = nullptr) {
+bool PopAny(std::vector<SpscRing<T>*>& rings, size_t* rr, T* out,
+            Profiler::StageCounters* counters = nullptr,
+            const Clock* clock = nullptr, Supervisor::SlotCtrl* ctrl = nullptr,
+            const std::atomic<bool>* aborted = nullptr, SimTime deadline = -1,
+            bool* timed_out = nullptr) {
   int spins = 0;
   SimTime wait_begin = -1;
-  const auto charge_wait = [&] {
+  const auto done = [&](bool popped) {
     if (wait_begin >= 0 && counters != nullptr) {
       counters->pop_wait_us.fetch_add(clock->now() - wait_begin,
                                       std::memory_order_relaxed);
     }
+    return popped;
   };
   for (;;) {
     if (ctrl != nullptr) {
       ctrl->heartbeat.fetch_add(1, std::memory_order_relaxed);
-      if (ctrl->kill.load(std::memory_order_acquire)) {
-        charge_wait();
-        return std::nullopt;
-      }
+      if (ctrl->kill.load(std::memory_order_acquire)) return done(false);
     }
     if (aborted != nullptr && aborted->load(std::memory_order_acquire)) {
-      charge_wait();
-      return std::nullopt;
+      return done(false);
     }
     bool all_closed = true;
     for (size_t k = 0; k < rings.size(); ++k) {
       SpscRing<T>& ring = *rings[(*rr + k) % rings.size()];
-      if (auto v = ring.TryPop()) {
+      if (ring.TryPopSwap(*out)) {
         *rr = (*rr + k + 1) % rings.size();
-        charge_wait();
-        return v;
+        return done(true);
       }
       if (!ring.closed()) all_closed = false;
     }
     if (all_closed) {
       for (SpscRing<T>* ring : rings) {
-        if (auto v = ring->TryPop()) {
-          charge_wait();
-          return v;
-        }
+        if (ring->TryPopSwap(*out)) return done(true);
       }
-      charge_wait();
-      return std::nullopt;
+      return done(false);
     }
     if (counters != nullptr && clock != nullptr && wait_begin < 0) {
       wait_begin = clock->now();
@@ -136,8 +133,7 @@ std::optional<T> PopAny(std::vector<SpscRing<T>*>& rings, size_t* rr,
     } else {
       if (deadline >= 0 && clock != nullptr && clock->now() >= deadline) {
         if (timed_out != nullptr) *timed_out = true;
-        charge_wait();
-        return std::nullopt;
+        return done(false);
       }
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
@@ -484,7 +480,9 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       Generator gen(gen_configs[static_cast<size_t>(s)],
                     source_rngs[static_cast<size_t>(s)]);
       SlotChaos schaos(plan.source_faults[static_cast<size_t>(s)]);
-      std::vector<engine::RecordBatch> open(static_cast<size_t>(T));
+      // Per-task open envelope: records accumulate in place and the whole
+      // envelope swaps into the ring on flush.
+      std::vector<Envelope> open(static_cast<size_t>(T));
       uint64_t records = 0, tuples = 0, watermarks = 0;
       SimTime max_event = engine::kNoWatermark;
       SimTime next_wm = config.watermark_every;
@@ -496,20 +494,26 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       const obs::TrackId track =
           tracer.Track("rt", "rt-src-" + std::to_string(s));
 
-      auto push_blocking = [&](int t, Envelope env) {
+      // Swaps `env` into the ring and leaves it holding the slot's
+      // drained envelope, reset for refilling.
+      auto push_blocking = [&](int t, Envelope& env) {
         SpscRing<Envelope>& ring = ring_of(s, t);
-        if (ring.TryPush(std::move(env))) return;  // value untouched on failure
-        const SimTime t0 = clock.now();
-        {
-          obs::ScopedSpan blocked(tracer, track, "ring.push_block");
-          // A false return means the ring was aborted (supervisor
-          // teardown): stop producing, the run is over.
-          if (!ring.Push(std::move(env))) alive = false;
+        env.origin = s;
+        if (!ring.TryPushSwap(env)) {  // env untouched on failure
+          const SimTime t0 = clock.now();
+          {
+            obs::ScopedSpan blocked(tracer, track, "ring.push_block");
+            // A false return means the ring was aborted (supervisor
+            // teardown): stop producing, the run is over.
+            if (!ring.PushSwap(env)) alive = false;
+          }
+          if (counters != nullptr) {
+            counters->blocked_us.fetch_add(clock.now() - t0,
+                                           std::memory_order_relaxed);
+          }
         }
-        if (counters != nullptr) {
-          counters->blocked_us.fetch_add(clock.now() - t0,
-                                         std::memory_order_relaxed);
-        }
+        env.records.Clear();
+        env.has_watermark = false;
       };
       // Shuffle fabric (engine/columnar.h): records stage into one batch,
       // radix-scatter to the per-task open runs in a single pass, and —
@@ -519,6 +523,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       engine::RecordBatch staging;
       engine::ColumnarBatch cols;
       engine::PartitionPlan plan_scratch;
+      Envelope side;  // combiner output and watermarks
       std::optional<engine::ShuffleCombiner> combiner;
       if (combine) {
         combiner.emplace(config.model == RtPipelineConfig::Model::kSpark
@@ -526,20 +531,18 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
                              : config.query.window.slide);
       }
       auto flush = [&](int t) {
-        engine::RecordBatch& b = open[static_cast<size_t>(t)];
-        if (b.empty()) return;
+        Envelope& env = open[static_cast<size_t>(t)];
+        if (env.records.empty()) return;
         obs::ScopedSpan span(tracer, track, "src.flush");
-        span.Arg("records", static_cast<double>(b.size()));
-        Envelope env;
+        span.Arg("records", static_cast<double>(env.records.size()));
         if (combiner.has_value()) {
-          combiner->Combine(b.begin(), b.size(), &env.records);
-          b.Clear();
+          combiner->Combine(env.records.begin(), env.records.size(),
+                            &side.records);
+          env.records.Clear();
+          push_blocking(t, side);
         } else {
-          env.records = std::move(b);
-          b = engine::RecordBatch();
+          push_blocking(t, env);
         }
-        env.origin = s;
-        push_blocking(t, std::move(env));
       };
       auto scatter = [&] {
         const size_t n = staging.size();
@@ -551,7 +554,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
         for (int t = 0; t < T; ++t) {
           const uint32_t run = plan_scratch.RunSize(t);
           if (run == 0) continue;
-          engine::RecordBatch& b = open[static_cast<size_t>(t)];
+          engine::RecordBatch& b = open[static_cast<size_t>(t)].records;
           b.Reserve(b.size() + run);
           for (const uint32_t* it = plan_scratch.Begin(t);
                it != plan_scratch.End(t); ++it) {
@@ -565,26 +568,31 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
         scatter();  // records first: the watermark must not overtake them
         for (int t = 0; t < T; ++t) {
           flush(t);
-          Envelope env;
-          env.has_watermark = true;
-          env.watermark = wm;
-          env.origin = s;
-          push_blocking(t, std::move(env));
+          side.has_watermark = true;
+          side.watermark = wm;
+          push_blocking(t, side);
         }
         ++watermarks;
         obs::FlightRecorder::Note("src.wm", s, wm);
       };
 
+      // Ingest stamp: the source's most recent clock read. Paced, that is
+      // PaceTo's own read, exact per record; unpaced, one read per staging
+      // batch, taken as the batch opens (per record at batch 1) — a stamp
+      // never postdates the record's true ingest, so latency measured from
+      // it is never understated.
+      SimTime stamp = 0;
       for (;;) {
         auto rec = gen.Next();
         if (!rec.has_value() || !alive) break;
         const SimTime planned = gen.planned_time();
-        if (config.paced) gen.PaceTo(clock);
+        if (config.paced) stamp = gen.PaceTo(clock);
         if (planned >= next_wm && max_event != engine::kNoWatermark) {
           broadcast_wm(max_event);
           while (next_wm <= planned) next_wm += config.watermark_every;
         }
-        rec->ingest_time = clock.now();
+        if (!config.paced && staging.empty()) stamp = clock.now();
+        rec->ingest_time = stamp;
         max_event = std::max(max_event, rec->event_time);
         ++records;
         tuples += rec->weight;
@@ -592,7 +600,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
           // Per-record path, byte-for-byte the pre-columnar fan-out (the
           // Partitioner mask/reciprocal path equals PartitionForKey).
           const int t = partitioner(rec->key);
-          open[static_cast<size_t>(t)].PushBack(*rec);
+          open[static_cast<size_t>(t)].records.PushBack(*rec);
           flush(t);
         } else {
           staging.PushBack(*rec);
@@ -714,26 +722,29 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
 
       SpscRing<std::vector<OutputRecord>>& out_ring =
           *sink_rings[static_cast<size_t>(t)];
-      auto push_outputs = [&](std::vector<OutputRecord>&& outs) {
+      // Swaps `outs` into the sink ring; it comes back holding the slot's
+      // drained vector, cleared.
+      auto push_outputs = [&](std::vector<OutputRecord>& outs) {
         if (outs.empty()) return;
-        if (out_ring.TryPush(std::move(outs))) return;
-        const SimTime t0 = clock.now();
-        {
-          obs::ScopedSpan blocked(tracer, track, "ring.push_block");
-          out_ring.Push(std::move(outs));  // false only on abort: run over
+        if (!out_ring.TryPushSwap(outs)) {
+          const SimTime t0 = clock.now();
+          {
+            obs::ScopedSpan blocked(tracer, track, "ring.push_block");
+            out_ring.PushSwap(outs);  // false only on abort: run over
+          }
+          if (counters != nullptr) {
+            counters->blocked_us.fetch_add(clock.now() - t0,
+                                           std::memory_order_relaxed);
+          }
         }
-        if (counters != nullptr) {
-          counters->blocked_us.fetch_add(clock.now() - t0,
-                                         std::memory_order_relaxed);
-        }
+        outs.clear();
       };
       // Flink checkpoint: commit pending outputs, snapshot state, ack the
       // consumed ring prefix. Runs between envelopes, so it is atomic
       // with respect to injected faults by construction.
       const auto checkpoint = [&](SimTime now) {
         obs::ScopedSpan span(tracer, track, "chaos.checkpoint");
-        push_outputs(std::move(pending));
-        pending.clear();
+        push_outputs(pending);
         FlinkSnapshot snap;
         if (flink_state) snap.agg = *flink_state;
         if (join_state) snap.join = *join_state;
@@ -749,15 +760,16 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
 
       uint64_t records = 0, fired_outputs = 0;
       std::vector<OutputRecord> fired;
+      // The envelope being applied; PopAny swaps the spent one back into
+      // the ring slot it takes the next from.
+      Envelope env;
       size_t rr = 0;
       bool fault_exit = false;
       for (;;) {
         bool pop_timed_out = false;
-        auto env = PopAny(inputs, &rr, counters, &clock, ctrl,
-                          &pipeline_aborted,
-                          transactional ? next_ckpt : SimTime{-1},
-                          &pop_timed_out);
-        if (!env.has_value()) {
+        if (!PopAny(inputs, &rr, &env, counters, &clock, ctrl,
+                    &pipeline_aborted, transactional ? next_ckpt : SimTime{-1},
+                    &pop_timed_out)) {
           if (pop_timed_out) {
             // Idle past the checkpoint cadence: commit now — the sources
             // may be blocked on the retained rings waiting for this ack.
@@ -832,23 +844,23 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
           }
         }
         const SimTime busy_begin = slot.chaos.armed() ? clock.now() : 0;
-        if (!env->records.empty()) {
-          records += env->records.size();
+        if (!env.records.empty()) {
+          records += env.records.size();
           obs::ScopedSpan apply(tracer, track, "window.apply");
-          apply.Arg("records", static_cast<double>(env->records.size()));
+          apply.Arg("records", static_cast<double>(env.records.size()));
           if (spark_state) {
-            for (const Record& rec : env->records) spark_state->Add(rec);
+            for (const Record& rec : env.records) spark_state->Add(rec);
           } else if (flink_state) {
-            late += engine::AddBatch(*flink_state, env->records.begin(),
-                                     env->records.size())
+            late += engine::AddBatch(*flink_state, env.records.begin(),
+                                     env.records.size())
                         .late_tuples;
           } else if (storm_state) {
-            late += engine::AddBatch(*storm_state, env->records.begin(),
-                                     env->records.size())
+            late += engine::AddBatch(*storm_state, env.records.begin(),
+                                     env.records.size())
                         .late_tuples;
           } else {
-            late += engine::AddBatch(*join_state, env->records.begin(),
-                                     env->records.size())
+            late += engine::AddBatch(*join_state, env.records.begin(),
+                                     env.records.size())
                         .late_tuples;
           }
         }
@@ -856,17 +868,17 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
           // Record this envelope's ack entry under its ring: the index one
           // past it (pop_index right after the pop) and the largest event
           // time it carries (a watermark envelope's is its wm value).
-          SimTime ack_event = env->watermark;
-          if (!env->has_watermark) {
+          SimTime ack_event = env.watermark;
+          if (!env.has_watermark) {
             ack_event = std::numeric_limits<SimTime>::min();
-            for (const Record& rec : env->records) {
+            for (const Record& rec : env.records) {
               ack_event = std::max(ack_event, rec.event_time);
             }
           }
-          ack_log[static_cast<size_t>(env->origin)].emplace_back(
-              inputs[static_cast<size_t>(env->origin)]->pop_index(), ack_event);
+          ack_log[static_cast<size_t>(env.origin)].emplace_back(
+              inputs[static_cast<size_t>(env.origin)]->pop_index(), ack_event);
         }
-        if (env->has_watermark && tracker.Update(env->origin, env->watermark)) {
+        if (env.has_watermark && tracker.Update(env.origin, env.watermark)) {
           fired.clear();
           const SimTime wm = tracker.current();
           obs::ScopedSpan fire(tracer, track, "window.fire");
@@ -887,8 +899,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
             if (transactional) {
               pending.insert(pending.end(), fired.begin(), fired.end());
             } else {
-              push_outputs(std::move(fired));
-              fired = std::vector<OutputRecord>();
+              push_outputs(fired);
             }
           }
           if (storm_acks) {
@@ -950,10 +961,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       // Clean drain: commit the tail, close downstream, fold metrics.
       // Folding happens only here — a restarted incarnation re-processes
       // replayed envelopes, so per-incarnation folding would double-count.
-      if (transactional && !pending.empty()) {
-        push_outputs(std::move(pending));
-        pending.clear();
-      }
+      if (transactional) push_outputs(pending);
       out_ring.Close();
       slot.ctrl.done.store(true, std::memory_order_release);
       late_tuples.fetch_add(late, std::memory_order_relaxed);
@@ -1002,12 +1010,11 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
     uint64_t outputs = 0;
     size_t rr = 0;
     bool crash_noted = false;
-    for (;;) {
-      auto outs = PopAny(inputs, &rr, sink_counters, &clock, nullptr,
-                         &pipeline_aborted);
-      if (!outs.has_value()) break;
-      outputs += outs->size();
-      outputs_emitted.fetch_add(outs->size(), std::memory_order_relaxed);
+    std::vector<OutputRecord> outs;
+    while (PopAny(inputs, &rr, &outs, sink_counters, &clock, nullptr,
+                  &pipeline_aborted)) {
+      outputs += outs.size();
+      outputs_emitted.fetch_add(outs.size(), std::memory_order_relaxed);
       if (config.track_recovery && !crash_noted && supervisor.has_value()) {
         // Register the measured crash window (worker fault instant →
         // supervisor respawn instant) before observing these emissions so
@@ -1020,8 +1027,8 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
         }
       }
       obs::ScopedSpan emit(tracer, track, "sink.emit");
-      emit.Arg("outputs", static_cast<double>(outs->size()));
-      for (const OutputRecord& out : *outs) sink.Emit(out);
+      emit.Arg("outputs", static_cast<double>(outs.size()));
+      for (const OutputRecord& out : outs) sink.Emit(out);
     }
     if (sink_counters != nullptr) {
       sink_counters->records.fetch_add(outputs, std::memory_order_relaxed);

@@ -28,8 +28,18 @@
 //     blocked Push returns false, Pop returns nullopt — so a supervisor
 //     that gives up on a slot never strands its peers mid-block.
 //
-// With retain off (the default), behavior and hot-path cost are the
-// original design: pop moves out of the slot and head_ itself frees it.
+// Slots carry storage in both directions. Push and pop are one slot-
+// transfer primitive, a swap: the producer swaps its filled element into
+// the tail slot and gets back whatever the slot held (storage the
+// consumer handed back a lap earlier), and the consumer swaps its spent
+// element into the head slot as it takes the new one. Heap-backed
+// payloads (record batches, output vectors) therefore circulate through
+// the ring instead of being allocated by one thread and freed by the
+// other. In retain mode the consumer copy-assigns instead of swapping, so
+// the slot keeps the original for replay; the copy reuses the consumer's
+// own capacity.
+//
+// With retain off (the default), head_ itself frees a slot.
 #ifndef SDPS_RT_SPSC_RING_H_
 #define SDPS_RT_SPSC_RING_H_
 
@@ -75,20 +85,34 @@ class SpscRing {
   void set_retain(bool retain) { retain_ = retain; }
   bool retain() const { return retain_; }
 
-  /// Producer. Returns false when the ring is full or aborted (value
-  /// untouched — the move happens only on success).
-  bool TryPush(const T& value) { return PushSlot(value); }
-  bool TryPush(T&& value) { return PushSlot(std::move(value)); }
+  /// Producer side of the slot transfer: swaps `value` into the tail slot.
+  /// On success `value` holds the slot's previous contents — a default T
+  /// on the first lap, afterwards storage the consumer released — for the
+  /// producer to clear and refill. Returns false when the ring is full or
+  /// aborted (value untouched).
+  bool TryPushSwap(T& value) {
+    if (aborted_.load(std::memory_order_relaxed)) return false;
+    const uint64_t tail = tail_.load(std::memory_order_relaxed);
+    if (tail - free_cache_ > mask_) {  // would exceed capacity
+      free_cache_ = retain_ ? acked_.load(std::memory_order_acquire)
+                            : head_.load(std::memory_order_acquire);
+      if (tail - free_cache_ > mask_) return false;
+    }
+    using std::swap;
+    swap(slots_[tail & mask_], value);
+    tail_.store(tail + 1, std::memory_order_release);
+    return true;
+  }
 
-  /// Producer. Blocks until the value is in the ring — this wait *is* the
-  /// realtime backpressure: a full downstream ring stalls the producer
-  /// thread. Spins briefly, then yields, then naps in 50µs steps so a
-  /// long-stalled producer doesn't burn a core. Returns false only when
-  /// the ring was aborted (the value is dropped: the pipeline is being
+  /// Producer. Blocks until `value` is swapped into the ring — this wait
+  /// *is* the realtime backpressure: a full downstream ring stalls the
+  /// producer thread. Spins briefly, then yields, then naps in 50µs steps
+  /// so a long-stalled producer doesn't burn a core. Returns false only
+  /// when the ring was aborted (value untouched: the pipeline is being
   /// torn down).
-  bool Push(T value) {
+  bool PushSwap(T& value) {
     int spins = 0;
-    while (!TryPush(std::move(value))) {
+    while (!TryPushSwap(value)) {
       if (aborted_.load(std::memory_order_acquire)) return false;
       ++spins;
       if (spins < 64) {
@@ -102,21 +126,47 @@ class SpscRing {
     return true;
   }
 
-  /// Consumer. Returns nullopt when the ring is currently empty (which
-  /// does NOT mean the stream ended — check closed()). In retain mode the
-  /// slot is copied, not moved: it stays replayable until acked.
-  std::optional<T> TryPop() {
+  /// By-value conveniences over the swap (the returned slot contents are
+  /// discarded).
+  bool TryPush(const T& value) {
+    T copy(value);
+    return TryPushSwap(copy);
+  }
+  bool TryPush(T&& value) { return TryPushSwap(value); }
+  bool Push(T value) { return PushSwap(value); }
+
+  /// Consumer side of the slot transfer: on success `value` holds the head
+  /// element and the slot holds `value`'s previous contents (a spent
+  /// element handed back for the producer to reuse). In retain mode the
+  /// element is copy-assigned instead and the slot keeps it, replayable
+  /// until acked. Returns false when the ring is currently empty (which
+  /// does NOT mean the stream ended — check closed()).
+  bool TryPopSwap(T& value) {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return std::nullopt;
+      if (head == tail_cache_) return false;
     }
-    std::optional<T> value;
-    if constexpr (std::is_copy_constructible_v<T>) {
-      if (retain_) value.emplace(slots_[head & mask_]);
+    T& slot = slots_[head & mask_];
+    bool copied = false;
+    if constexpr (std::is_copy_assignable_v<T>) {
+      if (retain_) {
+        value = slot;
+        copied = true;
+      }
     }
-    if (!value.has_value()) value.emplace(std::move(slots_[head & mask_]));
+    if (!copied) {
+      using std::swap;
+      swap(slot, value);
+    }
     head_.store(head + 1, std::memory_order_release);
+    return true;
+  }
+
+  /// Consumer. Returns nullopt when the ring is currently empty.
+  std::optional<T> TryPop() {
+    T value{};
+    if (!TryPopSwap(value)) return std::nullopt;
     return value;
   }
 
@@ -209,20 +259,6 @@ class SpscRing {
   size_t capacity() const { return mask_ + 1; }
 
  private:
-  template <typename U>
-  bool PushSlot(U&& value) {
-    if (aborted_.load(std::memory_order_relaxed)) return false;
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - free_cache_ > mask_) {  // would exceed capacity
-      free_cache_ = retain_ ? acked_.load(std::memory_order_acquire)
-                            : head_.load(std::memory_order_acquire);
-      if (tail - free_cache_ > mask_) return false;
-    }
-    slots_[tail & mask_] = std::forward<U>(value);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
   std::vector<T> slots_;
   size_t mask_ = 0;
   bool retain_ = false;

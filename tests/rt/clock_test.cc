@@ -2,6 +2,10 @@
 
 #include <thread>
 
+#include "common/random.h"
+#include "driver/generator.h"
+#include "rt/generator.h"
+
 #include "gtest/gtest.h"
 
 namespace sdps::rt {
@@ -35,9 +39,11 @@ TEST(RtClockTest, SleepUntilReachesTargetExactly) {
   Clock clock;
   clock.Start();
   const SimTime target = clock.now() + Millis(20);
-  clock.SleepUntil(target);
-  // The spin tail guarantees we never wake early.
-  EXPECT_GE(clock.now(), target);
+  const SimTime woke = clock.SleepUntil(target);
+  // The spin tail guarantees we never wake early, and the returned time is
+  // a real read: at or past the target, never ahead of the clock.
+  EXPECT_GE(woke, target);
+  EXPECT_GE(clock.now(), woke);
 }
 
 TEST(RtClockTest, SleepUntilPastTargetReturnsImmediately) {
@@ -45,8 +51,32 @@ TEST(RtClockTest, SleepUntilPastTargetReturnsImmediately) {
   clock.Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   const SimTime before = clock.now();
-  clock.SleepUntil(0);  // already behind schedule
-  EXPECT_LT(clock.now() - before, Millis(50));
+  const SimTime observed = clock.SleepUntil(0);  // already behind schedule
+  const SimTime after = clock.now();
+  EXPECT_LT(after - before, Millis(50));
+  // The one read it made is the time it returns (the paced source's
+  // ingest stamp): bracketed by the reads around the call.
+  EXPECT_GE(observed, before);
+  EXPECT_LE(observed, after);
+}
+
+TEST(RtClockTest, PaceToForwardsTheObservedTime) {
+  Clock clock;
+  clock.Start();
+  driver::GeneratorConfig config;
+  config.rate = driver::ConstantRate(1e4);
+  config.duration = Seconds(1);
+  Generator gen(config, Rng(7));
+  SimTime prev = 0;
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(gen.Next().has_value());
+    const SimTime stamp = gen.PaceTo(clock);
+    // Never before the planned emission, and monotone across records.
+    EXPECT_GE(stamp, gen.planned_time());
+    EXPECT_GE(stamp, prev);
+    prev = stamp;
+  }
+  EXPECT_GE(clock.now(), prev);
 }
 
 TEST(RtClockTest, RestartResetsEpoch) {

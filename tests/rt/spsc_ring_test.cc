@@ -267,6 +267,136 @@ TEST(SpscRingReplayTest, AbortUnblocksBothSides) {
   EXPECT_FALSE(full_ring.Pop().has_value());
 }
 
+// ---- Slot transfer: storage circulates through the slots (the rt data
+// plane's allocation-free envelopes). ----
+
+TEST(SpscRingSwapTest, ReleasedStorageReturnsToProducerWithCapacity) {
+  SpscRing<std::vector<int>> ring(1);
+  std::vector<int> filled(100, 7);
+  EXPECT_TRUE(ring.TryPushSwap(filled));
+  EXPECT_TRUE(filled.empty());  // first lap: the slot's default value
+
+  // The consumer swaps its own spent buffer into the slot as it pops.
+  std::vector<int> held;
+  held.reserve(256);
+  const int* released = held.data();
+  ASSERT_TRUE(ring.TryPopSwap(held));
+  EXPECT_EQ(held, std::vector<int>(100, 7));
+
+  // The producer's next push gets exactly that buffer back, capacity intact.
+  std::vector<int> next = {1, 2, 3};
+  EXPECT_TRUE(ring.TryPushSwap(next));
+  EXPECT_EQ(next.data(), released);
+  EXPECT_GE(next.capacity(), 256u);
+  ASSERT_TRUE(ring.TryPopSwap(held));
+  EXPECT_EQ(held, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SpscRingSwapTest, FullRingLeavesPushValueUntouched) {
+  SpscRing<std::vector<int>> ring(1);
+  std::vector<int> a = {1};
+  EXPECT_TRUE(ring.TryPushSwap(a));
+  std::vector<int> b = {2, 3};
+  EXPECT_FALSE(ring.TryPushSwap(b));
+  EXPECT_EQ(b, (std::vector<int>{2, 3}));
+  std::vector<int> out;
+  EXPECT_TRUE(ring.TryPopSwap(out));
+  EXPECT_FALSE(ring.TryPopSwap(out));  // empty: value untouched
+  EXPECT_EQ(out, (std::vector<int>{1}));
+}
+
+TEST(SpscRingSwapTest, RetainModeReplaysOriginalsAfterConsumerClearsItsCopy) {
+  SpscRing<std::vector<int>> ring(4);
+  ring.set_retain(true);
+  std::vector<int> a = {1, 2, 3}, b = {4, 5};
+  EXPECT_TRUE(ring.TryPushSwap(a));
+  EXPECT_TRUE(ring.TryPushSwap(b));
+  // The consumer copies out of the slots (into its own capacity) and then
+  // trashes its copy, as a task does when it moves on.
+  std::vector<int> held;
+  held.reserve(64);
+  const int* own = held.data();
+  ASSERT_TRUE(ring.TryPopSwap(held));
+  EXPECT_EQ(held, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(held.data(), own);
+  held.clear();
+  ASSERT_TRUE(ring.TryPopSwap(held));
+  EXPECT_EQ(held, (std::vector<int>{4, 5}));
+  held.assign(10, -1);
+  // A crash-restart replays the untouched originals in FIFO order.
+  ring.ReplayFromAcked();
+  ASSERT_TRUE(ring.TryPopSwap(held));
+  EXPECT_EQ(held, (std::vector<int>{1, 2, 3}));
+  ASSERT_TRUE(ring.TryPopSwap(held));
+  EXPECT_EQ(held, (std::vector<int>{4, 5}));
+  EXPECT_FALSE(ring.TryPopSwap(held));
+}
+
+TEST(SpscRingSwapTest, CloseThenDrainAndAbortKeepTheirContract) {
+  SpscRing<std::vector<int>> ring(4);
+  std::vector<int> v = {1};
+  EXPECT_TRUE(ring.PushSwap(v));
+  v = {2};
+  EXPECT_TRUE(ring.PushSwap(v));
+  ring.Close();
+  // Close-then-drain: both buffered elements survive the close.
+  std::vector<int> out;
+  ASSERT_TRUE(ring.TryPopSwap(out));
+  EXPECT_EQ(out, std::vector<int>{1});
+  ASSERT_TRUE(ring.TryPopSwap(out));
+  EXPECT_EQ(out, std::vector<int>{2});
+  EXPECT_FALSE(ring.TryPopSwap(out));
+  EXPECT_TRUE(ring.closed());
+
+  // Abort: a producer blocked in PushSwap returns false, value untouched.
+  SpscRing<std::vector<int>> full(1);
+  std::vector<int> first = {0};
+  EXPECT_TRUE(full.TryPushSwap(first));
+  std::vector<int> blocked = {42};
+  std::atomic<bool> result{true};
+  std::thread producer([&] { result.store(full.PushSwap(blocked)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  full.Abort();
+  producer.join();
+  EXPECT_FALSE(result.load());
+  EXPECT_EQ(blocked, std::vector<int>{42});
+  EXPECT_FALSE(full.TryPushSwap(blocked));
+  EXPECT_FALSE(full.Pop().has_value());
+}
+
+TEST(SpscRingSwapTest, TwoThreadStressCirculatesBuffersExactly) {
+  constexpr uint64_t kItems = 100'000;
+  SpscRing<std::vector<uint64_t>> ring(16);
+  std::thread producer([&] {
+    std::vector<uint64_t> buf;
+    for (uint64_t i = 0; i < kItems; ++i) {
+      // Refill whatever storage the ring handed back last time.
+      buf.clear();
+      for (uint64_t k = 0; k <= i % 7; ++k) buf.push_back(i + k);
+      EXPECT_TRUE(ring.PushSwap(buf));
+    }
+    ring.Close();
+  });
+  std::vector<uint64_t> held;
+  uint64_t expect = 0, mismatches = 0;
+  for (;;) {
+    if (!ring.TryPopSwap(held)) {
+      if (!ring.closed()) {
+        std::this_thread::yield();
+        continue;
+      }
+      if (!ring.TryPopSwap(held)) break;  // closed and drained
+    }
+    bool exact = held.size() == expect % 7 + 1;
+    for (uint64_t k = 0; exact && k < held.size(); ++k) exact = held[k] == expect + k;
+    if (!exact) ++mismatches;
+    ++expect;
+  }
+  producer.join();
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(expect, kItems);
+}
+
 TEST(SpscRingTest, MoveOnlyPayloadsMoveThrough) {
   SpscRing<std::vector<int>> ring(4);
   std::vector<int> payload = {1, 2, 3};
