@@ -79,8 +79,7 @@ void ParseFlagsOrExit(const FlagParser& parser, int argc, char** argv);
 int Jobs();
 
 /// Data-plane batch size for this bench process, from `--batch=N`
-/// (default 1 = per-record scheduling, the exact historical event
-/// sequence). TelemetryScope consumes the flag and installs it as the
+/// (default 1 = runs of one record, per-record scheduling). TelemetryScope consumes the flag and installs it as the
 /// process-wide default (engine::SetDefaultDataPlaneBatch), so every
 /// experiment whose config leaves `batch` at 0 picks it up.
 int BatchSize();

@@ -48,9 +48,9 @@ namespace {
 
 constexpr Engine kEngines[] = {Engine::kFlink, Engine::kStorm, Engine::kSpark};
 
-/// The data-plane batch the shuffle fabric runs at. --batch=1 would bypass
-/// the columnar path entirely (and the combiner refuses batch == 1), so
-/// the bench defaults to 32 when the global flag is left at per-record.
+/// The data-plane batch the shuffle fabric runs at. At --batch=1 every run
+/// holds one record and the combiner refuses to run, so the bench defaults
+/// to 32 when the global flag is left at 1.
 int ShuffleBatch() {
   const int flag = bench::BatchSize();
   return flag > 1 ? flag : 32;

@@ -38,15 +38,15 @@ class ToyEngine : public driver::Sut {
     engine::WindowAssigner assigner({Seconds(8), Seconds(4)});
     engine::AggWindowState state(assigner);
     SimTime max_event = 0;
-    for (;;) {
-      auto rec = co_await queue.Pop();
-      if (!rec) break;
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& rec = batch[0];
       co_await ctx_.cluster->Send(ctx_.cluster->driver(0), node,
-                                  engine::WireBytes(*rec));
-      rec->ingest_time = ctx_.sim->now();
-      co_await node.cpu().Use(8 * rec->weight);  // 8 us/tuple, everything
-      state.Add(*rec);
-      if (rec->event_time > max_event) max_event = rec->event_time;
+                                  engine::WireBytes(rec));
+      rec.ingest_time = ctx_.sim->now();
+      co_await node.cpu().Use(8 * rec.weight);  // 8 us/tuple, everything
+      state.Add(rec);
+      if (rec.event_time > max_event) max_event = rec.event_time;
       for (const auto& out : state.FireUpTo(max_event - Seconds(1))) {
         ctx_.sink->Emit(out);
       }

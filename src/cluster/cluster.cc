@@ -77,12 +77,6 @@ des::Task<> Cluster::Send(Node& from, Node& to, int64_t bytes) {
 des::Task<> Cluster::SendBatch(Node& from, Node& to, const int64_t* bytes, size_t n,
                                SimTime* arrivals) {
   SDPS_CHECK_GT(n, 0u);
-  if (n == 1) {
-    // Delegate so a 1-record batch is the exact Send() event sequence.
-    co_await Send(from, to, bytes[0]);
-    if (arrivals != nullptr) arrivals[0] = sim_.now();
-    co_return;
-  }
   if (from.id() == to.id()) {  // in-process handoff
     if (arrivals != nullptr) {
       for (size_t i = 0; i < n; ++i) arrivals[i] = sim_.now();

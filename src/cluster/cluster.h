@@ -53,7 +53,8 @@ class Cluster {
   /// line admission per hop (instead of n per hop). When `arrivals` is
   /// non-null it receives each item's arrival time at `to` (the final
   /// hop's per-item completion schedule). n == 1 is event-for-event
-  /// identical to Send(). For n > 1 the run is store-and-forwarded hop by
+  /// identical to Send() (each hop's one-item TransferBatch is a
+  /// Transfer()). For n > 1 the run is store-and-forwarded hop by
   /// hop as a unit — the whole run clears the sender NIC before entering
   /// the trunk — whereas n serial Sends would pipeline items across hops;
   /// within each hop the per-item schedule is exact (see
@@ -95,6 +96,39 @@ class Cluster {
   Nic master_nic_;
   std::unique_ptr<Link> trunk_ingest_;  // driver group -> worker group
   std::unique_ptr<Link> trunk_egress_;  // worker group -> driver group
+};
+
+/// Outgoing payload sizes of one run, grouped by destination node in
+/// first-appearance order (one SendBatch per group). Clear() keeps every
+/// group's storage, so a steady-state run allocates nothing.
+class TransferGroups {
+ public:
+  struct Group {
+    Node* node = nullptr;
+    std::vector<int64_t> bytes;
+  };
+
+  void Clear() { used_ = 0; }
+
+  /// The byte list bound for `to`, opened empty on its first use after
+  /// Clear(). Valid until the next To() call.
+  std::vector<int64_t>& To(Node& to) {
+    for (size_t g = 0; g < used_; ++g) {
+      if (groups_[g].node == &to) return groups_[g].bytes;
+    }
+    if (used_ == groups_.size()) groups_.emplace_back();
+    Group& group = groups_[used_++];
+    group.node = &to;
+    group.bytes.clear();
+    return group.bytes;
+  }
+
+  const Group* begin() const { return groups_.data(); }
+  const Group* end() const { return groups_.data() + used_; }
+
+ private:
+  std::vector<Group> groups_;
+  size_t used_ = 0;
 };
 
 }  // namespace sdps::cluster

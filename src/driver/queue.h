@@ -6,7 +6,7 @@
 //
 // Batched data plane: the generator can hand the queue a whole burst of
 // records with precomputed future arrival times (PushBurst) instead of one
-// Push per record. Pending arrivals are materialized lazily — by Pop /
+// Push per record. Pending arrivals are materialized lazily — by
 // PopBatch / Close / the stat accessors, all of which first Advance() the
 // queue to now(), and by a single scheduled wake when a connection is
 // parked — so every externally observable value (queue depth, meter
@@ -96,7 +96,7 @@ class DriverQueue {
   }
   bool retain() const { return retain_; }
 
-  /// Pauses pops (checkpoint quiesce): while paused, Pop suspends even if
+  /// Pauses pops (checkpoint quiesce): while paused, PopBatch suspends even if
   /// records are buffered and Push never hands off directly. Unpausing
   /// drains buffered records to parked connections; a Close() that arrived
   /// while paused is delivered after the drain.
@@ -147,17 +147,12 @@ class DriverQueue {
   /// double-close latency samples.
   void Replay();
 
-  class PopAwaiter;
   class PopBatchAwaiter;
-  /// SUT connection side: dequeue the next record, suspending while empty.
-  PopAwaiter Pop() { return PopAwaiter(*this); }
-
-  /// SUT connection side, batched: dequeue up to `max` buffered records in
-  /// one resume (appended to *out, cleared first). Takes in FIFO order with
-  /// per-record pop accounting/metering/lineage stamps — exactly what `max`
-  /// serial Pops at this instant would do. When empty and open, parks like
-  /// Pop() and wakes with exactly one record. `co_await` yields false when
-  /// closed & drained (end of stream).
+  /// SUT connection side: dequeue up to `max` buffered records in one
+  /// resume (appended to *out, cleared first), in FIFO order with
+  /// per-record pop accounting/metering/lineage stamps. When empty and
+  /// open, parks and wakes with exactly the one record handed to it.
+  /// `co_await` yields false when closed & drained (end of stream).
   PopBatchAwaiter PopBatch(engine::RecordBatch* out, size_t max) {
     return PopBatchAwaiter(*this, out, max);
   }
@@ -299,33 +294,6 @@ class DriverQueue {
   uint64_t popped_records_ = 0;
 
  public:
-  class PopAwaiter {
-   public:
-    explicit PopAwaiter(DriverQueue& q) : q_(q) {}
-    bool await_ready() {
-      q_.Advance();
-      if (q_.paused_) return false;  // checkpoint quiesce: park even if nonempty
-      if (!q_.buffer_.empty()) {
-        op_.value.emplace(std::move(q_.buffer_.front()));
-        q_.buffer_.pop_front();
-        q_.AccountPop(*op_.value);
-        obs::LineageTracker::Default().StampPopped(op_.value->lineage, q_.sim_.now());
-        return true;
-      }
-      return q_.closed_;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      op_.handle = h;
-      q_.waiters_.push_back(&op_);
-      q_.ArmWake();
-    }
-    std::optional<engine::Record> await_resume() { return op_.value; }
-
-   private:
-    DriverQueue& q_;
-    PopOp op_;
-  };
-
   class PopBatchAwaiter {
    public:
     PopBatchAwaiter(DriverQueue& q, engine::RecordBatch* out, size_t max)
@@ -399,7 +367,7 @@ inline void DriverQueue::Replay() {
   }
   retained_.clear();
   retained_head_ = 0;
-  // A connection may be parked in Pop (it was waiting when the crash hit);
+  // A connection may be parked in PopBatch (it was waiting when the crash hit);
   // hand replayed records to waiters just like Push does.
   DrainToWaiters();
 }

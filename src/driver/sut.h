@@ -33,8 +33,8 @@ struct SutContext {
   std::function<void(Status)> report_failure;
   uint64_t seed = 0;
   /// Data-plane batch size the engines should move records in (resolved
-  /// from ExperimentConfig::batch / --batch). 1 = per-record scheduling,
-  /// structurally identical to the pre-batching code paths.
+  /// from ExperimentConfig::batch / --batch). 1 = runs of one record
+  /// (per-record scheduling).
   int batch = 1;
 };
 

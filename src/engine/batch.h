@@ -7,8 +7,7 @@
 // (cluster::Link lines, worker CPUs) admit the whole run with one heap
 // event. Per-record event-times, lineage stamps, metering, and window
 // mutations are all preserved — batching coalesces *scheduling*, not
-// semantics. `--batch=1` reproduces the per-record code paths structurally
-// (every batched call site delegates to the serial primitive at k == 1).
+// semantics. `--batch=1` runs the same code with runs of one record.
 #ifndef SDPS_ENGINE_BATCH_H_
 #define SDPS_ENGINE_BATCH_H_
 
@@ -106,7 +105,7 @@ class RecordBatch {
 /// Process-wide data-plane batch size, set from `--batch=N` before any
 /// trial runs (bench::TelemetryScope consumes the flag) and read by
 /// driver::RunExperiment when ExperimentConfig::batch is 0. The default
-/// is 1: per-record scheduling, bit-identical to the pre-batching tree.
+/// is 1: runs of one record, i.e. per-record scheduling.
 int DefaultDataPlaneBatch();
 void SetDefaultDataPlaneBatch(int batch);
 

@@ -6,6 +6,16 @@ void RadixPartition(const uint64_t* keys, size_t n,
                     const Partitioner& partitioner, PartitionPlan* plan) {
   const int parts = partitioner.parts();
   plan->parts = parts;
+  if (n == 1) {
+    // A run of one (--batch=1): the plan is a step at one destination, so
+    // skip the histogram, prefix sum and scatter over every destination.
+    const int d = partitioner.ApplyMixed(MixKey(keys[0]));
+    plan->offsets.assign(static_cast<size_t>(d) + 1, 0);
+    plan->offsets.resize(static_cast<size_t>(parts) + 1, 1);
+    plan->index.assign(1, 0);
+    plan->active.assign(1, d);
+    return;
+  }
   plan->dests.resize(n);
   plan->offsets.assign(static_cast<size_t>(parts) + 1, 0);
 
@@ -19,8 +29,14 @@ void RadixPartition(const uint64_t* keys, size_t n,
     ++counts[d];
   }
 
-  // Prefix sum: offsets[p] becomes the start of run p.
-  for (int p = 0; p < parts; ++p) plan->offsets[p + 1] += plan->offsets[p];
+  // Prefix sum: offsets[p] becomes the start of run p. The destinations
+  // that received records are listed on the way, so consumers walk only
+  // non-empty runs (a run of one touches one destination, not all).
+  plan->active.clear();
+  for (int p = 0; p < parts; ++p) {
+    if (plan->offsets[p + 1] != 0) plan->active.push_back(p);
+    plan->offsets[p + 1] += plan->offsets[p];
+  }
 
   // Stable scatter: ascending i per destination preserves arrival order.
   plan->index.resize(n);

@@ -90,6 +90,7 @@ struct PartitionPlan {
   int parts = 0;
   std::vector<uint32_t> offsets;  // parts + 1 prefix sums
   std::vector<uint32_t> index;    // record indices, destination-major
+  std::vector<int> active;        // destinations with a non-empty run, ascending
 
   const uint32_t* Begin(int p) const { return index.data() + offsets[p]; }
   const uint32_t* End(int p) const { return index.data() + offsets[p + 1]; }

@@ -169,6 +169,46 @@ TEST(ResourceTest, UseBatchQueuesBehindContention) {
   EXPECT_EQ(batch_done, (std::vector<SimTime>{110, 130, 160}));
 }
 
+// A batch of one record can still hold several cost entries (Storm's
+// spout + ack charge). Admitted as one UseBatch, a request that queues
+// during the first entry cannot run before the last one; the serial Use
+// loop lets it in between. This is why Storm's batch-1 timings moved when
+// its spout began charging both through the batched admission.
+TEST(ResourceTest, UseBatchKeepsQueuedRequestsOutBetweenItems) {
+  struct Done {
+    SimTime flow = -1;
+    SimTime competitor = -1;
+  };
+  auto run = [](bool batched) {
+    Simulator sim;
+    Resource res(sim, 1);
+    Done done;
+    sim.Spawn([](Simulator& s, Resource& r, Done& d, bool b) -> Task<> {
+      const std::vector<SimTime> costs = {50, 10};
+      if (b) {
+        co_await r.UseBatch(costs);
+      } else {
+        for (const SimTime c : costs) co_await r.Use(c);
+      }
+      d.flow = s.now();
+    }(sim, res, done, batched));
+    sim.ScheduleAt(1, [&sim, &res, &done] {
+      sim.Spawn([](Simulator& s, Resource& r, Done& d) -> Task<> {
+        co_await r.Use(30);
+        d.competitor = s.now();
+      }(sim, res, done));
+    });
+    sim.RunUntilIdle();
+    return done;
+  };
+  const Done batched = run(true);
+  EXPECT_EQ(batched.flow, 60);
+  EXPECT_EQ(batched.competitor, 90);
+  const Done serial = run(false);
+  EXPECT_EQ(serial.competitor, 80);
+  EXPECT_EQ(serial.flow, 90);
+}
+
 TEST(ResourceTest, UseReturnsServiceStartTime) {
   Simulator sim;
   Resource res(sim, 1);

@@ -35,18 +35,18 @@ class FixedCapacitySut : public Sut {
 
  private:
   des::Task<> Pull(DriverQueue& queue, double tuples_per_sec) {
-    for (;;) {
-      auto rec = co_await queue.Pop();
-      if (!rec) co_return;
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& rec = batch[0];
       const auto service = static_cast<SimTime>(
-          static_cast<double>(rec->weight) / tuples_per_sec * 1e6);
+          static_cast<double>(rec.weight) / tuples_per_sec * 1e6);
       co_await des::Delay(*ctx_.sim, service);
-      rec->ingest_time = ctx_.sim->now();
+      rec.ingest_time = ctx_.sim->now();
       engine::OutputRecord out;
-      out.max_event_time = rec->event_time;
-      out.max_ingest_time = rec->ingest_time;
-      out.key = rec->key;
-      out.value = rec->value;
+      out.max_event_time = rec.event_time;
+      out.max_ingest_time = rec.ingest_time;
+      out.key = rec.key;
+      out.value = rec.value;
       // In-system latency is pipelined, not part of the service time.
       ctx_.sim->Spawn(DeliverAfter(out, internal_delay_));
     }

@@ -64,11 +64,11 @@ struct Popped {
 };
 
 des::Task<> DrainAll(des::Simulator& sim, DriverQueue& q, std::vector<Popped>& out) {
-  for (;;) {
-    auto r = co_await q.Pop();
-    if (!r) co_return;
+  engine::RecordBatch batch;
+  while (co_await q.PopBatch(&batch, 1)) {
+    engine::Record& r = batch[0];
     out.push_back(
-        Popped{sim.now(), r->event_time, r->key, r->stream, r->value, r->weight});
+        Popped{sim.now(), r.event_time, r.key, r.stream, r.value, r.weight});
   }
 }
 
@@ -117,11 +117,11 @@ TEST(GeneratorTest, EventTimesAreGenerationTimes) {
   SpawnGenerator(sim, q, BaseConfig(100.0, Seconds(2)), Rng(2));
   std::vector<SimTime> times;
   sim.Spawn([](DriverQueue& queue, std::vector<SimTime>& out) -> des::Task<> {
-    for (;;) {
-      auto r = co_await queue.Pop();
-      if (!r) co_return;
-      out.push_back(r->event_time);
-      EXPECT_EQ(r->ingest_time, -1);  // not yet ingested by any SUT
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& r = batch[0];
+      out.push_back(r.event_time);
+      EXPECT_EQ(r.ingest_time, -1);  // not yet ingested by any SUT
     }
   }(q, times));
   sim.RunUntilIdle();
@@ -150,9 +150,8 @@ TEST(GeneratorTest, StepRateProfile) {
   SpawnGenerator(sim, q, config, Rng(3));
   // Drain everything as it arrives so the meter sees the push rate.
   sim.Spawn([](DriverQueue& queue) -> des::Task<> {
-    for (;;) {
-      auto r = co_await queue.Pop();
-      if (!r) co_return;
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
     }
   }(q));
   sim.RunUntilIdle();
@@ -168,10 +167,10 @@ TEST(GeneratorTest, SingleKeyDistribution) {
   SpawnGenerator(sim, q, config, Rng(4));
   bool all_same = true;
   sim.Spawn([](DriverQueue& queue, bool& same) -> des::Task<> {
-    for (;;) {
-      auto r = co_await queue.Pop();
-      if (!r) co_return;
-      if (r->key != 0) same = false;
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& r = batch[0];
+      if (r.key != 0) same = false;
     }
   }(q, all_same));
   sim.RunUntilIdle();
@@ -192,16 +191,16 @@ TEST(GeneratorTest, JoinWorkloadStreamsAndSelectivity) {
   // NOTE: coroutine lambdas must not capture (the closure dies before the
   // frame) — state is passed by reference parameter instead.
   sim.Spawn([](DriverQueue& queue, Counts& c) -> des::Task<> {
-    for (;;) {
-      auto r = co_await queue.Pop();
-      if (!r) co_return;
-      if (r->stream == engine::StreamId::kAds) {
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& r = batch[0];
+      if (r.stream == engine::StreamId::kAds) {
         ++c.ads;
-        c.ad_keys[r->key] = true;
+        c.ad_keys[r.key] = true;
       } else {
         ++c.purchases;
-        if (c.ad_keys.count(r->key)) ++c.matching;
-        EXPECT_GT(r->value, 0.0);  // purchases carry a price
+        if (c.ad_keys.count(r.key)) ++c.matching;
+        EXPECT_GT(r.value, 0.0);  // purchases carry a price
       }
     }
   }(q, counts));
@@ -226,12 +225,12 @@ TEST(GeneratorTest, NonMatchingPurchasesUseDisjointKeySpace) {
     bool overlap = false;
   } seen;
   sim.Spawn([](DriverQueue& queue, Seen& sn) -> des::Task<> {
-    for (;;) {
-      auto r = co_await queue.Pop();
-      if (!r) co_return;
-      if (r->stream == engine::StreamId::kAds) {
-        sn.ad_keys[r->key] = 1;
-      } else if (sn.ad_keys.count(r->key)) {
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& r = batch[0];
+      if (r.stream == engine::StreamId::kAds) {
+        sn.ad_keys[r.key] = 1;
+      } else if (sn.ad_keys.count(r.key)) {
         sn.overlap = true;
       }
     }

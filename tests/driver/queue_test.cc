@@ -32,10 +32,10 @@ TEST(DriverQueueTest, PopDrainsFifo) {
   q.Push(Rec(2));
   std::vector<SimTime> got;
   sim.Spawn([](DriverQueue& queue, std::vector<SimTime>& out) -> des::Task<> {
-    for (;;) {
-      auto r = co_await queue.Pop();
-      if (!r) co_return;
-      out.push_back(r->event_time);
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& r = batch[0];
+      out.push_back(r.event_time);
     }
   }(q, got));
   sim.ScheduleAt(10, [&] { q.Close(); });
@@ -50,8 +50,8 @@ TEST(DriverQueueTest, PopBlocksUntilPush) {
   DriverQueue q(sim, nullptr);
   SimTime got_at = -1;
   sim.Spawn([](des::Simulator& s, DriverQueue& queue, SimTime& t) -> des::Task<> {
-    auto r = co_await queue.Pop();
-    EXPECT_TRUE(r.has_value());
+    engine::RecordBatch batch;
+    EXPECT_TRUE(co_await queue.PopBatch(&batch, 1));
     t = s.now();
   }(sim, q, got_at));
   sim.ScheduleAt(500, [&] { q.Push(Rec(1)); });
@@ -67,7 +67,8 @@ TEST(DriverQueueTest, MetersPopsNotPushes) {
   q.Push(Rec(0, 50));
   EXPECT_EQ(meter.total_tuples(), 0u);  // nothing popped yet
   sim.Spawn([](DriverQueue& queue) -> des::Task<> {
-    (void)co_await queue.Pop();
+    engine::RecordBatch batch;
+    (void)co_await queue.PopBatch(&batch, 1);
   }(q));
   sim.RunUntilIdle();
   EXPECT_EQ(meter.total_tuples(), 50u);
@@ -79,9 +80,9 @@ TEST(DriverQueueTest, MultipleConsumersEachRecordDeliveredOnce) {
   std::vector<int> counts(3, 0);
   for (int c = 0; c < 3; ++c) {
     sim.Spawn([](DriverQueue& queue, int& n) -> des::Task<> {
-      for (;;) {
-        auto r = co_await queue.Pop();
-        if (!r) co_return;
+      engine::RecordBatch batch;
+      while (co_await queue.PopBatch(&batch, 1)) {
+        engine::Record& r = batch[0];
         ++n;
       }
     }(q, counts[static_cast<size_t>(c)]));
@@ -98,8 +99,8 @@ TEST(DriverQueueTest, CloseWakesWaitersWithNullopt) {
   int wakeups = 0;
   for (int i = 0; i < 4; ++i) {
     sim.Spawn([](DriverQueue& queue, int& n) -> des::Task<> {
-      auto r = co_await queue.Pop();
-      if (!r.has_value()) ++n;
+      engine::RecordBatch batch;
+      if (!co_await queue.PopBatch(&batch, 1)) ++n;
     }(q, wakeups));
   }
   sim.ScheduleAt(10, [&] { q.Close(); });
@@ -112,8 +113,8 @@ TEST(DriverQueueTest, DirectHandoffWhenConsumerWaiting) {
   DriverQueue q(sim, nullptr);
   SimTime seen = -1;
   sim.Spawn([](DriverQueue& queue, SimTime& t) -> des::Task<> {
-    auto r = co_await queue.Pop();
-    t = r->event_time;
+    engine::RecordBatch batch;
+    if (co_await queue.PopBatch(&batch, 1)) t = batch[0].event_time;
   }(q, seen));
   sim.ScheduleAt(1, [&] {
     q.Push(Rec(77));
@@ -130,7 +131,8 @@ TEST(DriverQueueTest, RetainKeepsPoppedRecordsUntilAcked) {
   q.set_retain(true);
   for (SimTime t = 1; t <= 3; ++t) q.Push(Rec(t));
   sim.Spawn([](DriverQueue& queue) -> des::Task<> {
-    for (int i = 0; i < 3; ++i) (void)co_await queue.Pop();
+    engine::RecordBatch batch;
+    for (int i = 0; i < 3; ++i) (void)co_await queue.PopBatch(&batch, 1);
   }(q));
   sim.RunUntilIdle();
   EXPECT_EQ(q.retained_records(), 3u);
@@ -150,7 +152,8 @@ TEST(DriverQueueTest, AckThroughEventTimeDropsFromTheFront) {
   q.Push(Rec(5));
   q.Push(Rec(2));
   sim.Spawn([](DriverQueue& queue) -> des::Task<> {
-    for (int i = 0; i < 3; ++i) (void)co_await queue.Pop();
+    engine::RecordBatch batch;
+    for (int i = 0; i < 3; ++i) (void)co_await queue.PopBatch(&batch, 1);
   }(q));
   sim.RunUntilIdle();
   q.AckThroughEventTime(2);
@@ -163,10 +166,10 @@ TEST(DriverQueueTest, ReplayRedeliversUnackedAheadOfNewInput) {
   q.set_retain(true);
   std::vector<SimTime> got;
   sim.Spawn([](DriverQueue& queue, std::vector<SimTime>& out) -> des::Task<> {
-    for (;;) {
-      auto r = co_await queue.Pop();
-      if (!r) co_return;
-      out.push_back(r->event_time);
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& r = batch[0];
+      out.push_back(r.event_time);
     }
   }(q, got));
   for (SimTime t = 1; t <= 3; ++t) q.Push(Rec(t));
@@ -191,8 +194,8 @@ TEST(DriverQueueTest, PauseParksPopsEvenWhenNonEmpty) {
   q.set_paused(true);
   SimTime seen_at = -1;
   sim.Spawn([](des::Simulator& s, DriverQueue& queue, SimTime& t) -> des::Task<> {
-    auto r = co_await queue.Pop();
-    EXPECT_TRUE(r.has_value());
+    engine::RecordBatch batch;
+    EXPECT_TRUE(co_await queue.PopBatch(&batch, 1));
     t = s.now();
   }(sim, q, seen_at));
   sim.ScheduleAt(100, [&] {
@@ -212,14 +215,9 @@ TEST(DriverQueueTest, CloseWhilePausedDeliversAfterUnpause) {
   bool saw_close = false;
   sim.Spawn([](DriverQueue& queue, std::vector<SimTime>& out,
                bool& closed) -> des::Task<> {
-    for (;;) {
-      auto r = co_await queue.Pop();
-      if (!r) {
-        closed = true;
-        co_return;
-      }
-      out.push_back(r->event_time);
-    }
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) out.push_back(batch[0].event_time);
+    closed = true;
   }(q, got, saw_close));
   sim.ScheduleAt(10, [&] { q.Close(); });
   sim.ScheduleAt(20, [&] {
@@ -263,11 +261,11 @@ TEST(DriverQueueTest, PushBurstHandsOffToParkedConsumerAtArrivalInstants) {
     std::vector<SimTime> at, event;
   } seen;
   sim.Spawn([](des::Simulator& s, DriverQueue& queue, Seen& sn) -> des::Task<> {
-    for (;;) {
-      auto r = co_await queue.Pop();
-      if (!r) co_return;
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& r = batch[0];
       sn.at.push_back(s.now());
-      sn.event.push_back(r->event_time);
+      sn.event.push_back(r.event_time);
     }
   }(sim, q, seen));
   sim.ScheduleAt(5, [&] { q.PushBurst(Burst({5, 30, 31}), {5, 30, 31}); });

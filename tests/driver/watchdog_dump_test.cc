@@ -31,15 +31,15 @@ class WedgingSut : public Sut {
 
  private:
   des::Task<> Pull(DriverQueue& queue) {
-    for (;;) {
-      auto rec = co_await queue.Pop();
-      if (!rec) co_return;
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& rec = batch[0];
       if (ctx_.sim->now() >= wedge_at_) continue;  // wedged: swallow input
       engine::OutputRecord out;
-      out.max_event_time = rec->event_time;
+      out.max_event_time = rec.event_time;
       out.max_ingest_time = ctx_.sim->now();
-      out.key = rec->key;
-      out.value = rec->value;
+      out.key = rec.key;
+      out.value = rec.value;
       ctx_.sink->Emit(out);
     }
   }

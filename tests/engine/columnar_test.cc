@@ -37,11 +37,14 @@ TEST(RadixPartitionTest, MatchesScalarReference) {
     ASSERT_EQ(plan.offsets.size(), static_cast<size_t>(parts) + 1);
     EXPECT_EQ(plan.offsets.front(), 0u);
     EXPECT_EQ(plan.offsets.back(), keys.size());
+    std::vector<int> active;
     for (int p = 0; p < parts; ++p) {
       const std::vector<uint32_t> run(plan.Begin(p), plan.End(p));
       EXPECT_EQ(run, reference[static_cast<size_t>(p)]) << "parts=" << parts
                                                         << " p=" << p;
+      if (!run.empty()) active.push_back(p);
     }
+    EXPECT_EQ(plan.active, active) << "parts=" << parts;
   }
 }
 
@@ -55,6 +58,9 @@ TEST(RadixPartitionTest, EmptyAndSingleRecord) {
   const int d = PartitionForKey(key, 48);
   EXPECT_EQ(plan.RunSize(d), 1u);
   EXPECT_EQ(*plan.Begin(d), 0u);
+  EXPECT_EQ(plan.active, std::vector<int>{d});
+  EXPECT_EQ(plan.offsets.size(), 49u);
+  for (int p = 0; p <= 48; ++p) EXPECT_EQ(plan.offsets[p], p > d ? 1u : 0u);
 }
 
 // Plan scratch must be reusable across passes with different sizes and

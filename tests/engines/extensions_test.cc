@@ -30,13 +30,13 @@ TEST(GeneratorLatenessTest, EventTimesLagGenerationTime) {
     SimTime prev = 0;
   } stats;
   sim.Spawn([](driver::DriverQueue& queue, Stats& st, des::Simulator& s) -> des::Task<> {
-    for (;;) {
-      auto r = co_await queue.Pop();
-      if (!r) co_return;
+    engine::RecordBatch batch;
+    while (co_await queue.PopBatch(&batch, 1)) {
+      engine::Record& r = batch[0];
       ++st.n;
-      st.max_lag = std::max(st.max_lag, s.now() - r->event_time);
-      if (r->event_time < st.prev) st.monotone = false;  // out of order expected
-      st.prev = r->event_time;
+      st.max_lag = std::max(st.max_lag, s.now() - r.event_time);
+      if (r.event_time < st.prev) st.monotone = false;  // out of order expected
+      st.prev = r.event_time;
     }
   }(q, stats, sim));
   sim.RunUntilIdle();

@@ -3,6 +3,7 @@
 // JoinAll merges them — stamped with real OS tids — into the joining
 // thread's tracer. A fake time source makes the span durations exact.
 #include <atomic>
+#include <set>
 #include <string>
 
 #include "des/time_source.h"
@@ -109,14 +110,16 @@ TEST(RtTraceTest, PipelineTraceProducesStageSpans) {
   EXPECT_NE(FindSpan(records, "src.flush"), nullptr);
   EXPECT_NE(FindSpan(records, "window.apply"), nullptr);
   EXPECT_NE(FindSpan(records, "sink.emit"), nullptr);
-  // All rt tracks are real threads.
-  int rt_tracks = 0;
-  for (const obs::TrackInfo& info : tracer.TrackInfos()) {
-    if (info.process != "rt") continue;
-    ++rt_tracks;
+  // Every rt track this run recorded on is a real thread. Reset keeps the
+  // track table, so count only the tracks this run's spans reference: an
+  // earlier case in the same process may have left other rt tracks.
+  std::set<obs::TrackId> rt_tracks;
+  for (const obs::SpanRecord& rec : records) {
+    const obs::TrackInfo& info = tracer.TrackInfos()[static_cast<size_t>(rec.track)];
+    if (info.process != "rt" || !rt_tracks.insert(rec.track).second) continue;
     EXPECT_GT(info.os_tid, 0) << info.thread;
   }
-  EXPECT_EQ(rt_tracks, 2 + 2 + 1);  // sources + tasks + sink
+  EXPECT_EQ(rt_tracks.size(), 2u + 2u + 1u);  // sources + tasks + sink
 }
 
 }  // namespace
