@@ -2,10 +2,10 @@
 """Interleaved A/B comparison of two source trees on one benchmark workload.
 
     python3 scripts/ab.py TREE_A TREE_B --workload W --pairs N [--smoke]
-        [--seconds S] [--first-seed K]
 
-Runs perfbench/run.py in each tree once per pair, on seeds K, K+1, ...,
-alternating which tree goes first so host drift hits both sides alike.
+Runs perfbench/run.py in each tree once per pair, on seeds 1, 2, ..., for
+BENCHMARK.json's run_seconds, alternating which tree goes first so host
+drift hits both sides alike.
 Each side builds into its own CARGO_TARGET_DIR (.bench_build/ab-a or
 .bench_build/ab-b inside its tree), so the two builds never share objects,
 even when TREE_A and TREE_B are the same tree.
@@ -37,11 +37,11 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4))
 
 
-def run_once(tree, target, args, seed):
+def run_once(tree, target, args, seconds, seed):
     """(metric values, failed checks) of one run, or None without a result."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", args.workload, "--seed", str(seed),
-           "--seconds", repr(args.seconds), "--trace", "0"]
+           "--seconds", repr(seconds), "--trace", "0"]
     if args.smoke:
         cmd.append("--smoke")
     proc = subprocess.run(cmd, cwd=tree, env=dict(os.environ, CARGO_TARGET_DIR=target),
@@ -63,8 +63,6 @@ def main():
     parser.add_argument("tree_b")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true", help="tiny scale (the CI check)")
     args = parser.parse_args()
     trees = (os.path.abspath(args.tree_a), os.path.abspath(args.tree_b))
@@ -73,11 +71,11 @@ def main():
     failed = [0, 0]
     complete = True
     for pair in range(args.pairs):
-        seed = args.first_seed + pair
+        seed = 1 + pair
         order = (0, 1) if pair % 2 == 0 else (1, 0)
         got = [None, None]
         for side in order:
-            got[side] = run_once(trees[side], TARGETS[side], args, seed)
+            got[side] = run_once(trees[side], TARGETS[side], args, spec["run_seconds"], seed)
         if None in got:
             complete = False
             continue

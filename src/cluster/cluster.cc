@@ -53,25 +53,7 @@ const Cluster::Nic& Cluster::nic(const Node& node) const {
 }
 
 des::Task<> Cluster::Send(Node& from, Node& to, int64_t bytes) {
-  if (from.id() == to.id()) co_return;  // in-process handoff
-  static obs::Counter* net_transfers =
-      obs::Registry::Default().GetCounter("cluster.net.transfers");
-  static obs::Counter* net_bytes =
-      obs::Registry::Default().GetCounter("cluster.net.bytes");
-  net_transfers->Add(1);
-  net_bytes->Add(static_cast<uint64_t>(bytes));
-  co_await nic(from).out->Transfer(bytes);
-  const bool crosses_trunk = from.group() != to.group();
-  if (crosses_trunk) {
-    static obs::Counter* trunk_bytes =
-        obs::Registry::Default().GetCounter("cluster.net.trunk_bytes");
-    trunk_bytes->Add(static_cast<uint64_t>(bytes));
-    Link& trunk = (to.group() == NodeGroup::kWorker || to.group() == NodeGroup::kMaster)
-                      ? *trunk_ingest_
-                      : *trunk_egress_;
-    co_await trunk.Transfer(bytes);
-  }
-  co_await nic(to).in->Transfer(bytes);
+  co_await SendBatch(from, to, &bytes, 1, nullptr);
 }
 
 des::Task<> Cluster::SendBatch(Node& from, Node& to, const int64_t* bytes, size_t n,
@@ -91,19 +73,31 @@ des::Task<> Cluster::SendBatch(Node& from, Node& to, const int64_t* bytes, size_
   for (size_t i = 0; i < n; ++i) total += bytes[i];
   net_transfers->Add(n);
   net_bytes->Add(static_cast<uint64_t>(total));
+  // Route: sender NIC, the trunk when the run changes node group, receiver
+  // NIC. Each hop is a Link::TransferBatch written out inline (admission,
+  // then propagation delay), so a send costs one coroutine frame, not one
+  // per hop. Only the final hop's completions are the arrival times.
+  Link* hops[3];
+  size_t num_hops = 0;
+  hops[num_hops++] = nic(from).out.get();
   const bool crosses_trunk = from.group() != to.group();
-  // Only the final hop's per-item completions are the arrival times.
-  co_await nic(from).out->TransferBatch(bytes, n, nullptr);
   if (crosses_trunk) {
-    static obs::Counter* trunk_bytes =
-        obs::Registry::Default().GetCounter("cluster.net.trunk_bytes");
-    trunk_bytes->Add(static_cast<uint64_t>(total));
-    Link& trunk = (to.group() == NodeGroup::kWorker || to.group() == NodeGroup::kMaster)
-                      ? *trunk_ingest_
-                      : *trunk_egress_;
-    co_await trunk.TransferBatch(bytes, n, nullptr);
+    hops[num_hops++] =
+        (to.group() == NodeGroup::kWorker || to.group() == NodeGroup::kMaster)
+            ? trunk_ingest_.get()
+            : trunk_egress_.get();
   }
-  co_await nic(to).in->TransferBatch(bytes, n, arrivals);
+  hops[num_hops++] = nic(to).in.get();
+  for (size_t h = 0; h < num_hops; ++h) {
+    Link& link = *hops[h];
+    co_await link.Transmit(bytes, n, h + 1 == num_hops ? arrivals : nullptr);
+    if (link.latency() > 0) co_await des::Delay(sim_, link.latency());
+    if (h == 0 && crosses_trunk) {
+      static obs::Counter* trunk_bytes =
+          obs::Registry::Default().GetCounter("cluster.net.trunk_bytes");
+      trunk_bytes->Add(static_cast<uint64_t>(total));
+    }
+  }
 }
 
 int64_t Cluster::NodeNetworkBytes(const Node& node) const {

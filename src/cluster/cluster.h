@@ -45,19 +45,17 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
   des::Simulator& sim() { return sim_; }
 
-  /// Moves `bytes` from `from` to `to`, respecting NIC and trunk capacity.
-  /// Same-node transfers complete immediately.
+  /// Moves `bytes` from `from` to `to`, respecting NIC and trunk capacity:
+  /// a SendBatch of one payload. Same-node transfers complete immediately.
   des::Task<> Send(Node& from, Node& to, int64_t bytes);
 
   /// Moves a back-to-back run of payloads from `from` to `to` with one
   /// line admission per hop (instead of n per hop). When `arrivals` is
   /// non-null it receives each item's arrival time at `to` (the final
-  /// hop's per-item completion schedule). n == 1 is event-for-event
-  /// identical to Send() (each hop's one-item TransferBatch is a
-  /// Transfer()). For n > 1 the run is store-and-forwarded hop by
-  /// hop as a unit — the whole run clears the sender NIC before entering
-  /// the trunk — whereas n serial Sends would pipeline items across hops;
-  /// within each hop the per-item schedule is exact (see
+  /// hop's per-item completion schedule). The run is store-and-forwarded
+  /// hop by hop as a unit — the whole run clears the sender NIC before
+  /// entering the trunk — whereas n serial Sends would pipeline items
+  /// across hops; within each hop the per-item schedule is exact (see
   /// Link::TransferBatch).
   des::Task<> SendBatch(Node& from, Node& to, const int64_t* bytes, size_t n,
                         SimTime* arrivals);

@@ -2,38 +2,43 @@
 
 namespace sdps::cluster {
 
-des::Task<> Link::Transfer(int64_t bytes) {
-  SDPS_CHECK_GE(bytes, 0);
-  // rate_scale_ is exactly 1.0 outside fault windows, so the multiply is an
-  // IEEE-754 identity and fault-free runs stay bit-identical to pre-chaos.
-  const SimTime tx = static_cast<SimTime>(
-      std::llround(static_cast<double>(bytes) / (bytes_per_sec_ * rate_scale_) * 1e6));
-  co_await line_.Use(tx);
-  bytes_transferred_ += bytes;
+des::Task<> Link::TransferBatch(const int64_t* bytes, size_t n, SimTime* completions) {
+  co_await Transmit(bytes, n, completions);
   if (latency_ > 0) co_await des::Delay(sim_, latency_);
 }
 
-des::Task<> Link::TransferBatch(const int64_t* bytes, size_t n, SimTime* completions) {
+SimTime Link::LineTime(const int64_t* bytes, size_t n, SimTime* completions,
+                       int64_t* total_bytes) const {
   SDPS_CHECK_GT(n, 0u);
-  // Per-item transmission times computed with the exact Transfer()
-  // expression, so the per-item schedule is bit-identical to n serial
-  // transfers; the line is held once for the integer sum.
+  // rate_scale_ is exactly 1.0 outside fault windows, so the multiply is an
+  // IEEE-754 identity and fault-free runs stay bit-identical to pre-chaos.
+  // Each item's time is rounded on its own, so a run's schedule is the
+  // schedule of its items sent one by one; the line is held once for the
+  // integer sum.
   SimTime total_tx = 0;
-  int64_t total_bytes = 0;
   for (size_t i = 0; i < n; ++i) {
     SDPS_CHECK_GE(bytes[i], 0);
-    const SimTime tx = static_cast<SimTime>(std::llround(
-        static_cast<double>(bytes[i]) / (bytes_per_sec_ * rate_scale_) * 1e6));
-    total_tx += tx;
-    total_bytes += bytes[i];
+    total_tx +=
+        RoundMicros(static_cast<double>(bytes[i]) / (bytes_per_sec_ * rate_scale_) * 1e6);
+    *total_bytes += bytes[i];
     if (completions != nullptr) completions[i] = total_tx;  // prefix sum for now
   }
-  const SimTime start = co_await line_.Use(total_tx);
-  if (completions != nullptr) {
-    for (size_t i = 0; i < n; ++i) completions[i] += start + latency_;
+  return total_tx;
+}
+
+Link::TransmitAwaiter::TransmitAwaiter(Link& link, const int64_t* bytes, size_t n,
+                                       SimTime* completions)
+    : link_(link),
+      n_(n),
+      completions_(completions),
+      use_(link.line_, link.LineTime(bytes, n, completions, &total_bytes_)) {}
+
+void Link::TransmitAwaiter::await_resume() {
+  const SimTime start = use_.await_resume();
+  if (completions_ != nullptr) {
+    for (size_t i = 0; i < n_; ++i) completions_[i] += start + link_.latency_;
   }
-  bytes_transferred_ += total_bytes;
-  if (latency_ > 0) co_await des::Delay(sim_, latency_);
+  link_.bytes_transferred_ += total_bytes_;
 }
 
 }  // namespace sdps::cluster

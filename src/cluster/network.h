@@ -6,7 +6,6 @@
 #ifndef SDPS_CLUSTER_NETWORK_H_
 #define SDPS_CLUSTER_NETWORK_H_
 
-#include <cmath>
 #include <cstdint>
 
 #include "common/check.h"
@@ -30,19 +29,28 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Occupies the line for bytes/bandwidth, then waits the propagation
-  /// delay. Concurrent transfers queue FIFO.
-  des::Task<> Transfer(int64_t bytes);
+  class TransmitAwaiter;
 
   /// Transfers a back-to-back run of payloads with ONE line admission and
-  /// one completion event. Per-item transmission times use the identical
-  /// FP expression as Transfer(); item i finishes the line at
-  /// service_start + tx[0] + ... + tx[i] and arrives latency() later —
-  /// exactly the schedule `n` serial Transfer() calls produce on this
-  /// store-and-forward FIFO line (each would queue behind the previous).
-  /// When `completions` is non-null it receives the n absolute arrival
-  /// times. The coroutine itself resumes at the LAST item's arrival.
+  /// one completion event, then waits the propagation delay. Item i takes
+  /// tx[i] = bytes[i] / bandwidth on the line (rounded to whole
+  /// microseconds), finishes it at service_start + tx[0] + ... + tx[i]
+  /// and arrives latency() later — exactly the schedule `n` serial
+  /// one-item transfers produce on this store-and-forward FIFO line (each
+  /// would queue behind the previous). When `completions` is non-null it
+  /// receives the n absolute arrival times. The coroutine itself resumes
+  /// at the LAST item's arrival. Concurrent transfers queue FIFO.
   des::Task<> TransferBatch(const int64_t* bytes, size_t n, SimTime* completions);
+
+  /// The line half of TransferBatch as a plain awaiter: `co_await` admits
+  /// the run and resumes when its last item leaves the line, having booked
+  /// the bytes and filled `completions` (arrival times, latency included).
+  /// The caller then owes the propagation delay itself
+  /// (`co_await des::Delay(sim, latency())` when latency() > 0); chaining
+  /// hops this way costs no coroutine frame per hop.
+  TransmitAwaiter Transmit(const int64_t* bytes, size_t n, SimTime* completions);
+
+  SimTime latency() const { return latency_; }
 
   /// Cumulative payload bytes that completed transmission.
   int64_t bytes_transferred() const { return bytes_transferred_; }
@@ -66,13 +74,40 @@ class Link {
   double BusyIntegral() const { return line_.BusyIntegral(); }
 
  private:
+  /// Summed line time of a run; writes each item's line-time prefix sum
+  /// into `completions` (when non-null) and adds the run's bytes to
+  /// *total_bytes.
+  SimTime LineTime(const int64_t* bytes, size_t n, SimTime* completions,
+                   int64_t* total_bytes) const;
+
   des::Simulator& sim_;
   des::Resource line_;
   double bytes_per_sec_;
   double rate_scale_ = 1.0;
   SimTime latency_;
   int64_t bytes_transferred_ = 0;
+
+ public:
+  class TransmitAwaiter {
+   public:
+    TransmitAwaiter(Link& link, const int64_t* bytes, size_t n, SimTime* completions);
+    bool await_ready() const { return false; }
+    void await_suspend(std::coroutine_handle<> h) { use_.await_suspend(h); }
+    void await_resume();
+
+   private:
+    Link& link_;
+    size_t n_;
+    SimTime* completions_;
+    int64_t total_bytes_ = 0;
+    des::Resource::UseAwaiter use_;
+  };
 };
+
+inline Link::TransmitAwaiter Link::Transmit(const int64_t* bytes, size_t n,
+                                            SimTime* completions) {
+  return TransmitAwaiter(*this, bytes, n, completions);
+}
 
 }  // namespace sdps::cluster
 

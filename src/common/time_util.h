@@ -25,6 +25,22 @@ constexpr SimTime Minutes(double m) {
   return static_cast<SimTime>(m * static_cast<double>(kMicrosPerMinute));
 }
 
+/// Rounds fractional microseconds to the nearest SimTime, halves away from
+/// zero: std::llround's result for every |us| < 2^63, without its library
+/// call (cost models and links round several durations per record).
+constexpr SimTime RoundMicros(double us) {
+  const SimTime whole = static_cast<SimTime>(us);       // toward zero
+  const double frac = us - static_cast<double>(whole);  // exact
+  return frac >= 0.5 ? whole + 1 : frac <= -0.5 ? whole - 1 : whole;
+}
+
+/// A modelled cost (CPU work, serialization) as a duration: rounded like
+/// RoundMicros and never negative.
+constexpr SimTime CostUs(double us) {
+  const SimTime rounded = RoundMicros(us);
+  return rounded > 0 ? rounded : 0;
+}
+
 constexpr double ToSeconds(SimTime t) {
   return static_cast<double>(t) / static_cast<double>(kMicrosPerSecond);
 }

@@ -11,7 +11,6 @@
 #define SDPS_DRIVER_RECORD_STREAM_H_
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <vector>
 
@@ -57,8 +56,7 @@ class RecordStream {
     SDPS_CHECK_GT(rate, 0.0) << "rate profile returned non-positive rate";
     const double interval_us =
         static_cast<double>(config_.tuples_per_record) / rate * 1e6 + carry_;
-    const SimTime step =
-        std::max<SimTime>(0, static_cast<SimTime>(std::llround(interval_us)));
+    const SimTime step = std::max<SimTime>(0, RoundMicros(interval_us));
     carry_ = interval_us - static_cast<double>(step);
     return prev + step;
   }

@@ -6,46 +6,38 @@ void RadixPartition(const uint64_t* keys, size_t n,
                     const Partitioner& partitioner, PartitionPlan* plan) {
   const int parts = partitioner.parts();
   plan->parts = parts;
-  if (n == 1) {
-    // A run of one (--batch=1): the plan is a step at one destination, so
-    // skip the histogram, prefix sum and scatter over every destination.
-    const int d = partitioner.ApplyMixed(MixKey(keys[0]));
-    plan->offsets.assign(static_cast<size_t>(d) + 1, 0);
-    plan->offsets.resize(static_cast<size_t>(parts) + 1, 1);
-    plan->index.assign(1, 0);
-    plan->active.assign(1, d);
-    return;
-  }
   plan->dests.resize(n);
   plan->offsets.assign(static_cast<size_t>(parts) + 1, 0);
 
   // Pass 1: mix + assign + histogram. The mixed hash feeds the
   // divide-free ApplyMixed, so the whole loop is multiply/shift/add.
   uint32_t* dests = plan->dests.data();
-  uint32_t* counts = plan->offsets.data() + 1;  // offsets[d+1] = count(d)
+  uint32_t* offsets = plan->offsets.data();  // offsets[d] = count(d) for now
   for (size_t i = 0; i < n; ++i) {
     const int d = partitioner.ApplyMixed(MixKey(keys[i]));
     dests[i] = static_cast<uint32_t>(d);
-    ++counts[d];
+    ++offsets[d];
   }
 
-  // Prefix sum: offsets[p] becomes the start of run p. The destinations
-  // that received records are listed on the way, so consumers walk only
-  // non-empty runs (a run of one touches one destination, not all).
+  // Inclusive prefix sum: offsets[p] becomes the end of run p. The
+  // destinations that received records are listed on the way, so
+  // consumers walk only non-empty runs (a run of one touches one
+  // destination, not all).
   plan->active.clear();
+  uint32_t end = 0;
   for (int p = 0; p < parts; ++p) {
-    if (plan->offsets[p + 1] != 0) plan->active.push_back(p);
-    plan->offsets[p + 1] += plan->offsets[p];
+    if (offsets[p] != 0) plan->active.push_back(p);
+    end += offsets[p];
+    offsets[p] = end;
   }
+  offsets[parts] = end;
 
-  // Stable scatter: ascending i per destination preserves arrival order.
+  // Stable scatter, back to front: each record takes the last free slot
+  // of its run, so ascending i per destination keeps arrival order, and
+  // offsets[p] walks down from the end of run p to its start.
   plan->index.resize(n);
-  plan->cursors.assign(plan->offsets.begin(), plan->offsets.end() - 1);
-  uint32_t* cursors = plan->cursors.data();
   uint32_t* index = plan->index.data();
-  for (size_t i = 0; i < n; ++i) {
-    index[cursors[dests[i]]++] = static_cast<uint32_t>(i);
-  }
+  for (size_t i = n; i-- > 0;) index[--offsets[dests[i]]] = static_cast<uint32_t>(i);
 }
 
 void ScalarPartition(const uint64_t* keys, size_t n, int parts,

@@ -96,9 +96,7 @@ struct PartitionPlan {
   const uint32_t* End(int p) const { return index.data() + offsets[p + 1]; }
   uint32_t RunSize(int p) const { return offsets[p + 1] - offsets[p]; }
 
-  // Scratch reused across passes (per-record destinations / cursors).
-  std::vector<uint32_t> dests;
-  std::vector<uint32_t> cursors;
+  std::vector<uint32_t> dests;  // per-record destination, reused across passes
 };
 
 /// One-pass radix partitioning: histogram, prefix sum, stable scatter.

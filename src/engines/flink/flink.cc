@@ -1,7 +1,6 @@
 #include "engines/flink/flink.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
@@ -36,10 +35,6 @@ using engine::Record;
 constexpr SimTime kFinalWatermark = std::numeric_limits<SimTime>::max() / 4;
 /// Checkpoint barriers travel in-band like watermarks, tagged by origin.
 constexpr int kBarrierOrigin = -1;
-
-SimTime CostUs(double us) {
-  return std::max<SimTime>(0, static_cast<SimTime>(std::llround(us)));
-}
 
 class FlinkSut : public driver::Sut {
  public:
@@ -229,7 +224,7 @@ class FlinkSut : public driver::Sut {
       // Ingest transfer: driver node -> this worker, one coalesced run;
       // arrivals[i] is the exact per-record link completion time.
       bytes.clear();
-      arrivals.assign(k, 0);
+      arrivals.resize(k);  // SendBatch writes every arrival
       for (const Record& rec : recs) bytes.push_back(engine::WireBytes(rec));
       co_await ctx_.cluster->SendBatch(queue_node, my_worker, bytes.data(), k,
                                        arrivals.data());
@@ -435,7 +430,6 @@ class FlinkSut : public driver::Sut {
 
     std::vector<Message> msgs;
     std::vector<SimTime> costs;
-    std::vector<int64_t> lineages;
     std::vector<Record> run;
     std::vector<engine::AddResult> added_run;
     std::vector<int64_t> bytes_after;
@@ -454,7 +448,6 @@ class FlinkSut : public driver::Sut {
           // watermarks, which move only between runs. Each record's spill
           // cost reads the state size measured right after its own fold.
           costs.clear();
-          lineages.clear();
           run.clear();
           int64_t alloc = 0;
           while (i < msgs.size() && msgs[i].kind == Message::Kind::kRecord &&
@@ -478,13 +471,12 @@ class FlinkSut : public driver::Sut {
             costs.push_back(CostUs(config_.agg_update_cost_us *
                                    engine::PhysicalTuples(rec) *
                                    added.window_updates * slow));
-            lineages.push_back(rec.lineage);
             alloc += config_.alloc_bytes_per_tuple * engine::PhysicalTuples(rec);
           }
           SimTime done = co_await my_worker.cpu().UseBatch(costs);
-          for (size_t m = 0; m < costs.size(); ++m) {
+          for (size_t m = 0; m < run.size(); ++m) {
             done += costs[m];
-            obs::LineageTracker::Default().StampOperator(lineages[m], done);
+            obs::LineageTracker::Default().StampOperator(run[m].lineage, done);
           }
           my_worker.RecordAllocation(alloc);
           continue;
@@ -530,7 +522,6 @@ class FlinkSut : public driver::Sut {
 
     std::vector<Message> msgs;
     std::vector<SimTime> costs;
-    std::vector<int64_t> lineages;
     for (;;) {
       if (!co_await in.RecvMany(&msgs, batch_)) break;
       size_t i = 0;
@@ -541,7 +532,7 @@ class FlinkSut : public driver::Sut {
         }
         if (msgs[i].kind == Message::Kind::kRecord) {
           costs.clear();
-          lineages.clear();
+          const size_t first = i;
           int64_t alloc = 0;
           while (i < msgs.size() && msgs[i].kind == Message::Kind::kRecord &&
                  !(recovery_ && msgs[i].epoch < epoch_)) {
@@ -555,14 +546,14 @@ class FlinkSut : public driver::Sut {
             metrics_.late_dropped->Add(added.late_tuples);
             costs.push_back(CostUs(config_.join_buffer_cost_us * rec.weight *
                                    added.window_updates * slow));
-            lineages.push_back(rec.lineage);
             alloc += config_.alloc_bytes_per_tuple * rec.weight;
             ++i;
           }
           SimTime done = co_await my_worker.cpu().UseBatch(costs);
           for (size_t m = 0; m < costs.size(); ++m) {
             done += costs[m];
-            obs::LineageTracker::Default().StampOperator(lineages[m], done);
+            obs::LineageTracker::Default().StampOperator(msgs[first + m].record.lineage,
+                                                         done);
           }
           my_worker.RecordAllocation(alloc);
           continue;

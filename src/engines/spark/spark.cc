@@ -1,7 +1,6 @@
 #include "engines/spark/spark.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <map>
@@ -33,10 +32,6 @@ using des::Latch;
 using des::Task;
 using engine::Record;
 using engine::WindowKeyAgg;
-
-SimTime CostUs(double us) {
-  return std::max<SimTime>(0, static_cast<SimTime>(std::llround(us)));
-}
 
 /// Sentinel frontier once every receiver drained: all buckets are sealed.
 constexpr SimTime kFinalFrontier = std::numeric_limits<SimTime>::max() / 4;
@@ -310,7 +305,7 @@ class SparkSut : public driver::Sut {
         co_await limiter.Acquire(tokens_per_record * static_cast<double>(k - 1));
       }
       bytes.clear();
-      arrivals.assign(k, 0);
+      arrivals.resize(k);  // SendBatch writes every arrival
       for (const Record& rec : recs) bytes.push_back(engine::WireBytes(rec));
       co_await ctx_.cluster->SendBatch(queue_node, my_worker, bytes.data(), k,
                                        arrivals.data());

@@ -1,7 +1,6 @@
 #include "engines/storm/storm.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 
@@ -31,10 +30,6 @@ using engine::Message;
 using engine::Record;
 
 constexpr SimTime kFinalWatermark = std::numeric_limits<SimTime>::max() / 4;
-
-SimTime CostUs(double us) {
-  return std::max<SimTime>(0, static_cast<SimTime>(std::llround(us)));
-}
 
 double InterpolateOverhead(const std::vector<std::pair<int, double>>& table, int workers) {
   SDPS_CHECK(!table.empty());
@@ -198,7 +193,7 @@ class StormSut : public driver::Sut {
       // record lands in its channel, watermarks stay below the run.
       unsent_floor = recs[0].event_time;
       bytes.clear();
-      arrivals.assign(k, 0);
+      arrivals.resize(k);  // SendBatch writes every arrival
       for (const Record& rec : recs) bytes.push_back(engine::WireBytes(rec));
       co_await ctx_.cluster->SendBatch(queue_node, my_worker, bytes.data(), k,
                                        arrivals.data());

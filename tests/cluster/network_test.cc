@@ -14,7 +14,8 @@ TEST(LinkTest, TransferTakesBytesOverBandwidthPlusLatency) {
   Link link(sim, /*bytes_per_sec=*/1e6, /*latency=*/200);
   SimTime done_at = -1;
   sim.Spawn([](des::Simulator& s, Link& l, SimTime& t) -> des::Task<> {
-    co_await l.Transfer(1000);  // 1000 B at 1 MB/s = 1000 us
+    const int64_t bytes = 1000;  // 1000 B at 1 MB/s = 1000 us
+    co_await l.TransferBatch(&bytes, 1, nullptr);
     t = s.now();
   }(sim, link, done_at));
   sim.RunUntilIdle();
@@ -28,7 +29,8 @@ TEST(LinkTest, TransfersSerializeFifo) {
   std::vector<SimTime> done;
   for (int i = 0; i < 3; ++i) {
     sim.Spawn([](des::Simulator& s, Link& l, std::vector<SimTime>& d) -> des::Task<> {
-      co_await l.Transfer(1000);
+      const int64_t bytes = 1000;
+      co_await l.TransferBatch(&bytes, 1, nullptr);
       d.push_back(s.now());
     }(sim, link, done));
   }
@@ -36,11 +38,43 @@ TEST(LinkTest, TransfersSerializeFifo) {
   EXPECT_EQ(done, (std::vector<SimTime>{1000, 2000, 3000}));
 }
 
+// A run's per-item arrivals are the schedule of its items sent one by one
+// on the FIFO line: each item's line time is rounded on its own.
+TEST(LinkTest, RunArrivalsMatchItemsSentOneByOne) {
+  const std::vector<int64_t> bytes = {1000, 333, 1, 2500};
+  des::Simulator sim;
+  Link link(sim, 3e6, 200);
+  std::vector<SimTime> run(bytes.size(), -1);
+  SimTime run_done = -1;
+  sim.Spawn([](des::Simulator& s, Link& l, const std::vector<int64_t>& b,
+               std::vector<SimTime>& arrivals, SimTime& done) -> des::Task<> {
+    co_await l.TransferBatch(b.data(), b.size(), arrivals.data());
+    done = s.now();
+  }(sim, link, bytes, run, run_done));
+  sim.RunUntilIdle();
+
+  des::Simulator serial_sim;
+  Link serial_link(serial_sim, 3e6, 200);
+  std::vector<SimTime> serial;
+  for (const int64_t& b : bytes) {
+    serial_sim.Spawn([](des::Simulator& s, Link& l, const int64_t& item,
+                        std::vector<SimTime>& d) -> des::Task<> {
+      co_await l.TransferBatch(&item, 1, nullptr);
+      d.push_back(s.now());
+    }(serial_sim, serial_link, b, serial));
+  }
+  serial_sim.RunUntilIdle();
+  EXPECT_EQ(run, serial);
+  EXPECT_EQ(run_done, serial.back());
+  EXPECT_EQ(link.bytes_transferred(), serial_link.bytes_transferred());
+}
+
 TEST(LinkTest, SaturationThroughputMatchesBandwidth) {
   des::Simulator sim;
   Link link(sim, 1e6, 0);  // 1 MB/s
   sim.Spawn([](des::Simulator&, Link& l) -> des::Task<> {
-    for (int i = 0; i < 100; ++i) co_await l.Transfer(10000);
+    const int64_t bytes = 10000;
+    for (int i = 0; i < 100; ++i) co_await l.TransferBatch(&bytes, 1, nullptr);
   }(sim, link));
   sim.RunUntilIdle();
   // 1 MB over a 1 MB/s link = 1 simulated second.

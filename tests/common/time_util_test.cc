@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/random.h"
+
 namespace sdps {
 namespace {
 
@@ -17,6 +23,25 @@ TEST(TimeUtilTest, Conversions) {
 
 TEST(TimeUtilTest, RoundTripFractional) {
   EXPECT_DOUBLE_EQ(ToSeconds(Seconds(2.25)), 2.25);
+}
+
+// RoundMicros replaces std::llround on the hot paths, so it must agree on
+// every value: exact halves, the doubles just below them, negatives, and
+// magnitudes where doubles are integers.
+TEST(TimeUtilTest, RoundMicrosMatchesLlround) {
+  std::vector<double> values = {0.0,  -0.0,  0.5,  -0.5, 1.5,  2.5,   -2.5,
+                                0.49999999999999994, -0.49999999999999994,
+                                4503599627370495.5, 4503599627370497.0,
+                                9007199254740993.0, -9007199254740993.0, 1e18};
+  Rng rng(7);
+  for (int i = 0; i < 100000; ++i) {
+    const double magnitude = std::ldexp(1.0, static_cast<int>(rng.NextUint64() % 62));
+    values.push_back(rng.Uniform(-0.5, 0.5) * magnitude);
+    values.push_back(std::floor(rng.Uniform(0.0, 1e6)) + 0.5);
+  }
+  for (const double v : values) {
+    EXPECT_EQ(RoundMicros(v), static_cast<SimTime>(std::llround(v))) << v;
+  }
 }
 
 TEST(TimeUtilTest, FormatDuration) {

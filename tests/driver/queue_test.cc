@@ -81,10 +81,7 @@ TEST(DriverQueueTest, MultipleConsumersEachRecordDeliveredOnce) {
   for (int c = 0; c < 3; ++c) {
     sim.Spawn([](DriverQueue& queue, int& n) -> des::Task<> {
       engine::RecordBatch batch;
-      while (co_await queue.PopBatch(&batch, 1)) {
-        engine::Record& r = batch[0];
-        ++n;
-      }
+      while (co_await queue.PopBatch(&batch, 1)) ++n;
     }(q, counts[static_cast<size_t>(c)]));
   }
   for (int i = 0; i < 300; ++i) q.Push(Rec(i));

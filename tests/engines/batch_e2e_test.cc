@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/experiment.h"
+#include "engines/flink/flink.h"
 #include "workloads/workloads.h"
 
 namespace sdps {
@@ -86,6 +87,33 @@ TEST(BatchIdentityTest, SparkAggregation) {
 TEST(BatchIdentityTest, SparkJoin) {
   ExpectBatchInvariantOutputs(Engine::kSpark, engine::QueryKind::kJoin, 2.0e4,
                               /*attach_gc=*/false);
+}
+
+// -- The unsent floor at --batch=1 --------------------------------------------
+
+// A run of one record is still held between pop and channel delivery: the
+// source charges its CPU and, for a remote task, serializes it and moves it
+// across a link. A later record of the same queue bound for a local task
+// skips both, lands first and advances the shared event-time clock past
+// the held one. With watermarks every 50 us and 100 us windows, a
+// broadcast from that clock would fire the held record's window before the
+// record arrives and late-drop it; the unsent floor caps the broadcast.
+TEST(BatchUnsentFloorTest, FlinkBatchOneDropsNothingLate) {
+  const engine::QueryConfig query{engine::QueryKind::kAggregation, {100, 100}};
+  engines::FlinkConfig flink = workloads::CalibratedFlink(query);
+  flink.watermark_interval = 50;
+  driver::ExperimentConfig config =
+      MakeExperiment(engine::QueryKind::kAggregation, 2, 1.0e5, Seconds(1));
+  config.generator.tuples_per_record = 1;
+  config.attach_gc = false;
+  config.batch = 1;
+  const auto result = driver::RunExperiment(
+      config, [flink](const driver::SutContext&) { return engines::MakeFlink(flink); });
+  ASSERT_TRUE(result.failure.ok()) << result.failure.ToString();
+  ASSERT_GT(result.output_records, 0u);
+  const auto late = result.engine_series.find("late_dropped_tuples");
+  ASSERT_NE(late, result.engine_series.end());
+  EXPECT_EQ(late->second.samples().back().value, 0.0);
 }
 
 // -- Recovery at --batch=64 ---------------------------------------------------
