@@ -74,9 +74,11 @@ des::Task<> Cluster::SendBatch(Node& from, Node& to, const int64_t* bytes, size_
   net_transfers->Add(n);
   net_bytes->Add(static_cast<uint64_t>(total));
   // Route: sender NIC, the trunk when the run changes node group, receiver
-  // NIC. Each hop is a Link::TransferBatch written out inline (admission,
-  // then propagation delay), so a send costs one coroutine frame, not one
-  // per hop. Only the final hop's completions are the arrival times.
+  // NIC. Each hop is one Link::Transmit awaited inline: one event per hop
+  // (the run's arrival at the hop's far end) and one coroutine frame per
+  // send. Each hop is admitted at the instant the run reaches it, so runs
+  // that meet on the trunk or a receiver NIC are served in arrival order.
+  // Only the final hop's completions are the arrival times.
   Link* hops[3];
   size_t num_hops = 0;
   hops[num_hops++] = nic(from).out.get();
@@ -91,7 +93,6 @@ des::Task<> Cluster::SendBatch(Node& from, Node& to, const int64_t* bytes, size_
   for (size_t h = 0; h < num_hops; ++h) {
     Link& link = *hops[h];
     co_await link.Transmit(bytes, n, h + 1 == num_hops ? arrivals : nullptr);
-    if (link.latency() > 0) co_await des::Delay(sim_, link.latency());
     if (h == 0 && crosses_trunk) {
       static obs::Counter* trunk_bytes =
           obs::Registry::Default().GetCounter("cluster.net.trunk_bytes");

@@ -50,13 +50,13 @@ class Cluster {
   des::Task<> Send(Node& from, Node& to, int64_t bytes);
 
   /// Moves a back-to-back run of payloads from `from` to `to` with one
-  /// line admission per hop (instead of n per hop). When `arrivals` is
-  /// non-null it receives each item's arrival time at `to` (the final
-  /// hop's per-item completion schedule). The run is store-and-forwarded
-  /// hop by hop as a unit — the whole run clears the sender NIC before
-  /// entering the trunk — whereas n serial Sends would pipeline items
-  /// across hops; within each hop the per-item schedule is exact (see
-  /// Link::TransferBatch).
+  /// admission, and one DES event, per hop (instead of n per hop). When
+  /// `arrivals` is non-null it receives each item's arrival time at `to`
+  /// (the final hop's per-item arrival schedule). The run is
+  /// store-and-forwarded hop by hop as a unit — the whole run reaches the
+  /// trunk before it is admitted there — whereas n serial Sends would
+  /// pipeline items across hops; within each hop the per-item schedule is
+  /// exact (see Link::Transmit).
   des::Task<> SendBatch(Node& from, Node& to, const int64_t* bytes, size_t n,
                         SimTime* arrivals);
 

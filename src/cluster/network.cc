@@ -2,11 +2,6 @@
 
 namespace sdps::cluster {
 
-des::Task<> Link::TransferBatch(const int64_t* bytes, size_t n, SimTime* completions) {
-  co_await Transmit(bytes, n, completions);
-  if (latency_ > 0) co_await des::Delay(sim_, latency_);
-}
-
 SimTime Link::LineTime(const int64_t* bytes, size_t n, SimTime* completions,
                        int64_t* total_bytes) const {
   SDPS_CHECK_GT(n, 0u);
@@ -31,14 +26,15 @@ Link::TransmitAwaiter::TransmitAwaiter(Link& link, const int64_t* bytes, size_t 
     : link_(link),
       n_(n),
       completions_(completions),
-      use_(link.line_, link.LineTime(bytes, n, completions, &total_bytes_)) {}
+      line_time_(link.LineTime(bytes, n, completions, &total_bytes_)) {}
 
-void Link::TransmitAwaiter::await_resume() {
-  const SimTime start = use_.await_resume();
+void Link::TransmitAwaiter::await_suspend(std::coroutine_handle<> h) {
+  const SimTime start = std::max(link_.sim_.now(), link_.free_at_);
+  link_.free_at_ = start + line_time_;
   if (completions_ != nullptr) {
     for (size_t i = 0; i < n_; ++i) completions_[i] += start + link_.latency_;
   }
-  link_.bytes_transferred_ += total_bytes_;
+  link_.sim_.ScheduleResumeAt(link_.free_at_ + link_.latency_, h);
 }
 
 }  // namespace sdps::cluster
