@@ -438,28 +438,51 @@ class StormSut : public driver::Sut {
 
   Task<> BoltProcess(int b) {
     if (config_.query.kind == engine::QueryKind::kAggregation) {
-      co_await AggBolt(b);
+      co_await WindowBolt(b, bolt_agg_);
     } else {
-      co_await JoinBolt(b);
+      co_await WindowBolt(b, bolt_join_);
     }
   }
 
-  /// Aggregation bolt: drains up to `batch_` queued messages per resume;
-  /// each consecutive run of records is folded into the window state with
-  /// one AddBatch + one cpu UseBatch whose per-record completion times
+  /// CPU work of one window trigger, and the trace argument naming it.
+  struct FireWork {
+    const char* arg;
+    uint64_t units;
+    SimTime cost;
+  };
+  /// The aggregation bolt scans every buffered tuple of the fired windows.
+  FireWork WorkOf(const engine::BufferedWindowState::Fired& fired) const {
+    return {"scanned", fired.tuples_scanned,
+            CostUs(config_.scan_cost_us * overhead_ *
+                   static_cast<double>(fired.tuples_scanned))};
+  }
+  /// The hand-rolled naive join bolt (SpoutProcess broadcasts the ads
+  /// stream to every bolt and hash-partitions the purchases) evaluates a
+  /// nested loop over the window's purchase x ad pairs.
+  FireWork WorkOf(const engine::JoinWindowState::Fired& fired) const {
+    return {"naive_pairs", fired.naive_pairs,
+            CostUs(config_.naive_pair_cost_ns * 1e-3 *
+                   static_cast<double>(fired.naive_pairs))};
+  }
+
+  /// Window bolt over a BufferedWindowState (agg) or JoinWindowState
+  /// (join): drains up to `batch_` queued messages per resume; each
+  /// consecutive run of records is folded into the window state with one
+  /// AddBatch + one cpu UseBatch whose per-record completion times
   /// (service start + cost prefix sums) are the operator stamps. Heap is
   /// charged with the run's total state delta (one OOM probe per run);
-  /// watermark triggers are handled singly, in channel order.
-  Task<> AggBolt(int b) {
+  /// watermark triggers are handled singly, in channel order, and charge
+  /// the state's fire-time work (WorkOf).
+  template <typename State>
+  Task<> WindowBolt(int b, std::vector<State>& recovery_states) {
     cluster::Node& my_worker = WorkerOfBolt(b);
     engine::WindowAssigner assigner(config_.query.window);
-    engine::BufferedWindowState local_state(assigner);
+    State local_state(assigner);
     engine::WatermarkTracker local_tracker(num_queues_);
     int64_t local_last_bytes = 0;
     // With recovery on, state lives in SUT-owned slots so a worker restart
     // can wipe it while the coroutine keeps running.
-    engine::BufferedWindowState& state =
-        recovery_ ? bolt_agg_[static_cast<size_t>(b)] : local_state;
+    State& state = recovery_ ? recovery_states[static_cast<size_t>(b)] : local_state;
     engine::WatermarkTracker& tracker =
         recovery_ ? bolt_trackers_[static_cast<size_t>(b)] : local_tracker;
     int64_t& last_state_bytes =
@@ -509,98 +532,15 @@ class StormSut : public driver::Sut {
         ++i;
         if (tracker.Update(msg.origin, msg.watermark)) {
           auto fired = state.FireUpTo(tracker.current());
+          const FireWork work = WorkOf(fired);
           std::optional<obs::ScopedSpan> span;
-          if (fired.tuples_scanned > 0 || !fired.outputs.empty()) {
+          if (work.units > 0 || !fired.outputs.empty()) {
             metrics_.windows_fired->Add(1);
             span.emplace(tracer, track, "window.fire");
-            span->Arg("scanned", static_cast<double>(fired.tuples_scanned));
+            span->Arg(work.arg, static_cast<double>(work.units));
             span->Arg("outputs", static_cast<double>(fired.outputs.size()));
           }
-          if (fired.tuples_scanned > 0) {
-            co_await my_worker.cpu().Use(CostUs(
-                config_.scan_cost_us * overhead_ *
-                static_cast<double>(fired.tuples_scanned)));
-          }
-          ChargeHeap(my_worker, state.state_bytes() - last_state_bytes);
-          last_state_bytes = state.state_bytes();
-          if (!fired.outputs.empty()) co_await EmitOutputs(my_worker, fired.outputs);
-        }
-      }
-    }
-  }
-
-  /// The hand-rolled naive join bolt: SpoutProcess broadcasts the ads
-  /// stream to every bolt and hash-partitions the purchases; evaluation is
-  /// a nested loop over the window at trigger time. Structure as AggBolt.
-  Task<> JoinBolt(int b) {
-    cluster::Node& my_worker = WorkerOfBolt(b);
-    engine::WindowAssigner assigner(config_.query.window);
-    engine::JoinWindowState local_state(assigner);
-    engine::WatermarkTracker local_tracker(num_queues_);
-    int64_t local_last_bytes = 0;
-    engine::JoinWindowState& state =
-        recovery_ ? bolt_join_[static_cast<size_t>(b)] : local_state;
-    engine::WatermarkTracker& tracker =
-        recovery_ ? bolt_trackers_[static_cast<size_t>(b)] : local_tracker;
-    int64_t& last_state_bytes =
-        recovery_ ? bolt_state_bytes_[static_cast<size_t>(b)] : local_last_bytes;
-    Channel<Message>& in = *channels_[static_cast<size_t>(b)];
-    obs::Tracer& tracer = obs::Tracer::Default();
-    const obs::TrackId track =
-        engine::OperatorTrack(my_worker.name(), name(), "bolt", b);
-
-    std::vector<Message> msgs;
-    engine::RecordBatch run;
-    std::vector<engine::AddResult> added;
-    std::vector<SimTime> costs;
-    for (;;) {
-      if (!co_await in.RecvMany(&msgs, batch_)) break;
-      size_t i = 0;
-      while (i < msgs.size()) {
-        if (msgs[i].kind == Message::Kind::kRecord) {
-          run.Clear();
-          while (i < msgs.size() && msgs[i].kind == Message::Kind::kRecord) {
-            run.PushBack(msgs[i].record);
-            ++i;
-          }
-          added.assign(run.size(), {});
-          engine::AddBatch(state, run.begin(), run.size(), added.data());
-          costs.clear();
-          int64_t alloc = 0;
-          for (size_t m = 0; m < run.size(); ++m) {
-            metrics_.records->Add(run[m].weight);
-            metrics_.late_dropped->Add(added[m].late_tuples);
-            costs.push_back(CostUs(config_.buffer_add_cost_us * overhead_ *
-                                   engine::PhysicalTuples(run[m]) *
-                                   added[m].window_updates));
-            alloc += config_.alloc_bytes_per_tuple * engine::PhysicalTuples(run[m]);
-          }
-          SimTime done = co_await my_worker.cpu().UseBatch(costs);
-          for (size_t m = 0; m < run.size(); ++m) {
-            done += costs[m];
-            obs::LineageTracker::Default().StampOperator(run[m].lineage, done);
-          }
-          my_worker.RecordAllocation(alloc);
-          if (!ChargeHeap(my_worker, state.state_bytes() - last_state_bytes)) co_return;
-          last_state_bytes = state.state_bytes();
-          continue;
-        }
-        const Message msg = msgs[i];
-        ++i;
-        if (tracker.Update(msg.origin, msg.watermark)) {
-          auto fired = state.FireUpTo(tracker.current());
-          std::optional<obs::ScopedSpan> span;
-          if (fired.naive_pairs > 0 || !fired.outputs.empty()) {
-            metrics_.windows_fired->Add(1);
-            span.emplace(tracer, track, "window.fire");
-            span->Arg("naive_pairs", static_cast<double>(fired.naive_pairs));
-            span->Arg("outputs", static_cast<double>(fired.outputs.size()));
-          }
-          if (fired.naive_pairs > 0) {
-            co_await my_worker.cpu().Use(CostUs(
-                config_.naive_pair_cost_ns * 1e-3 *
-                static_cast<double>(fired.naive_pairs)));
-          }
+          if (work.units > 0) co_await my_worker.cpu().Use(work.cost);
           ChargeHeap(my_worker, state.state_bytes() - last_state_bytes);
           last_state_bytes = state.state_bytes();
           if (!fired.outputs.empty()) co_await EmitOutputs(my_worker, fired.outputs);
