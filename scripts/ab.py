@@ -12,10 +12,12 @@ even when TREE_A and TREE_B are the same tree.
 
 For every end_to_end metric of BENCHMARK.json it prints each side's median
 with its q1-q3 range, the median per-pair B/A ratio, and how many pairs B
-won (strictly better in the metric's direction). The verdict is
-"unresolved" when either side's spread (q3 - q1 over the median) exceeds
-the metric's bound, "worse" when B's median is worse than A's by more than
-the bound, and "ok" otherwise.
+won (strictly better in the metric's direction; ties count for neither).
+The verdict is "gain" when B won at least 9 of every 10 pairs and B's
+median is better than A's by more than A's q3 - q1 (a spread above the
+bound is noted after it); otherwise "unresolved" when either side's spread
+(q3 - q1 over the median) exceeds the metric's bound, "worse" when B's
+median is worse than A's by more than the bound, and "ok".
 
 Exit status: 0 when every run printed a result line, 1 otherwise.
 """
@@ -35,6 +37,27 @@ def quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
     return tuple(statistics.quantiles(values, n=4))
+
+
+def compare(a, b, bound, higher):
+    """(A quartiles, B quartiles, median B/A, B's pair wins, verdict) of one
+    metric's paired runs `a` and `b`; see the module doc for the verdicts."""
+    n = len(a)
+    qa, qb = quartiles(a), quartiles(b)
+    spread = max((q[2] - q[0]) / q[1] if q[1] else 0.0 for q in (qa, qb))
+    ratio = statistics.median([y / x for x, y in zip(a, b) if x] or [float("nan")])
+    wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
+    worse = qb[1] < qa[1] * (1 - bound) if higher else qb[1] > qa[1] * (1 + bound)
+    gain_in_median = (qb[1] - qa[1]) if higher else (qa[1] - qb[1])
+    gain = 10 * wins >= 9 * n and gain_in_median > qa[2] - qa[0]
+    wide = "spread %.3f > %.2f" % (spread, bound) if spread > bound else ""
+    if gain:
+        verdict = "gain (%s)" % wide if wide else "gain"
+    elif wide:
+        verdict = "unresolved (%s)" % wide
+    else:
+        verdict = "worse" if worse else "ok"
+    return qa, qb, ratio, wins, verdict
 
 
 def run_once(tree, target, args, seconds, seed):
@@ -99,15 +122,7 @@ def main():
         name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
         a = [r[name] for r in runs[0]]
         b = [r[name] for r in runs[1]]
-        qa, qb = quartiles(a), quartiles(b)
-        spread = max((q[2] - q[0]) / q[1] if q[1] else 0.0 for q in (qa, qb))
-        ratio = statistics.median([y / x for x, y in zip(a, b) if x] or [float("nan")])
-        wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
-        worse = qb[1] < qa[1] * (1 - bound) if higher else qb[1] > qa[1] * (1 + bound)
-        if spread > bound:
-            verdict = "unresolved (spread %.3f > %.2f)" % (spread, bound)
-        else:
-            verdict = "worse" if worse else "ok"
+        qa, qb, ratio, wins, verdict = compare(a, b, bound, higher)
         print("%-14s %-30s %-30s %7.3f %4d/%-2d  %s" % (
             name, "%.4g [%.4g, %.4g]" % (qa[1], qa[0], qa[2]),
             "%.4g [%.4g, %.4g]" % (qb[1], qb[0], qb[2]), ratio, wins, n, verdict))
