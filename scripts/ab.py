@@ -13,11 +13,12 @@ even when TREE_A and TREE_B are the same tree.
 For every end_to_end metric of BENCHMARK.json it prints each side's median
 with its q1-q3 range, the median per-pair B/A ratio, and how many pairs B
 won (strictly better in the metric's direction; ties count for neither).
-The verdict is "gain" when B won at least 9 of every 10 pairs and B's
-median is better than A's by more than A's q3 - q1 (a spread above the
-bound is noted after it); otherwise "unresolved" when either side's spread
-(q3 - q1 over the median) exceeds the metric's bound, "worse" when B's
-median is worse than A's by more than the bound, and "ok".
+The verdict is "gain" when at least 10 pairs ran, B won at least 9 of
+every 10 of them and B's median is better than A's by more than A's
+q3 - q1 (a spread above the bound is noted after it). Otherwise it is
+"unresolved" when either side's spread (q3 - q1 over the median) exceeds
+the metric's bound, "worse" when B's median is worse than A's by more
+than the bound, and "ok".
 
 Exit status: 0 when every run printed a result line, 1 otherwise.
 """
@@ -49,7 +50,7 @@ def compare(a, b, bound, higher):
     wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
     worse = qb[1] < qa[1] * (1 - bound) if higher else qb[1] > qa[1] * (1 + bound)
     gain_in_median = (qb[1] - qa[1]) if higher else (qa[1] - qb[1])
-    gain = 10 * wins >= 9 * n and gain_in_median > qa[2] - qa[0]
+    gain = n >= 10 and 10 * wins >= 9 * n and gain_in_median > qa[2] - qa[0]
     wide = "spread %.3f > %.2f" % (spread, bound) if spread > bound else ""
     if gain:
         verdict = "gain (%s)" % wide if wide else "gain"

@@ -1,5 +1,7 @@
 #include "cluster/network.h"
 
+#include <algorithm>
+
 namespace sdps::cluster {
 
 SimTime Link::LineTime(const int64_t* bytes, size_t n, SimTime* completions,

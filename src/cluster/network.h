@@ -6,7 +6,6 @@
 #ifndef SDPS_CLUSTER_NETWORK_H_
 #define SDPS_CLUSTER_NETWORK_H_
 
-#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 
