@@ -5,6 +5,21 @@
 
 namespace sdps::cluster {
 
+double InterpolateOverhead(const std::vector<std::pair<int, double>>& table,
+                           int workers) {
+  SDPS_CHECK(!table.empty());
+  if (workers <= table.front().first) return table.front().second;
+  for (size_t i = 1; i < table.size(); ++i) {
+    if (workers <= table[i].first) {
+      const auto [x0, y0] = table[i - 1];
+      const auto [x1, y1] = table[i];
+      const double f = static_cast<double>(workers - x0) / static_cast<double>(x1 - x0);
+      return y0 + f * (y1 - y0);
+    }
+  }
+  return table.back().second;
+}
+
 Cluster::Cluster(des::Simulator& sim, const ClusterConfig& config)
     : sim_(sim), config_(config) {
   SDPS_CHECK_GT(config_.workers, 0);

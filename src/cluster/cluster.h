@@ -6,6 +6,7 @@
 #define SDPS_CLUSTER_CLUSTER_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/network.h"
@@ -29,6 +30,11 @@ struct ClusterConfig {
   double trunk_bytes_per_sec = 120e6;
   SimTime link_latency_us = 200;
 };
+
+/// Piecewise-linear lookup in an engine's {workers, factor} coordination
+/// overhead table (sorted by workers; clamped at both ends).
+double InterpolateOverhead(const std::vector<std::pair<int, double>>& table,
+                           int workers);
 
 /// Owns all nodes and links of one simulated deployment.
 class Cluster {

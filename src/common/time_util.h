@@ -41,6 +41,14 @@ constexpr SimTime CostUs(double us) {
   return rounded > 0 ? rounded : 0;
 }
 
+/// Floor division (rounds toward negative infinity, unlike `/`): the
+/// window, bucket or slide index of a possibly negative time.
+constexpr int64_t FloorDiv(int64_t a, int64_t b) {
+  int64_t q = a / b;
+  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
+  return q;
+}
+
 constexpr double ToSeconds(SimTime t) {
   return static_cast<double>(t) / static_cast<double>(kMicrosPerSecond);
 }

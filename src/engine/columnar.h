@@ -182,12 +182,6 @@ class ShuffleCombiner {
     Record rec;
   };
 
-  static int64_t FloorDiv(int64_t a, int64_t b) {
-    int64_t q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-    return q;
-  }
-
   /// The per-record fold body, run once per record (in input order) with
   /// the key's resolved chain-head slot.
   void FoldRecord(const Record& r, uint32_t& head, bool inserted);

@@ -14,6 +14,9 @@ namespace sdps::engine {
 
 /// Sentinel: no watermark received yet from an input.
 inline constexpr SimTime kNoWatermark = std::numeric_limits<SimTime>::min();
+/// Sentinel: the end-of-stream watermark, past every real event time.
+/// Flushes every open window / remaining boundary.
+inline constexpr SimTime kFinalWatermark = std::numeric_limits<SimTime>::max() / 4;
 
 class WatermarkTracker {
  public:

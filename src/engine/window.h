@@ -56,12 +56,6 @@ class WindowAssigner {
   }
 
  private:
-  static int64_t FloorDiv(int64_t a, int64_t b) {
-    int64_t q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-    return q;
-  }
-
   WindowSpec spec_;
 };
 

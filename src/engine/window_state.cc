@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "engine/watermark.h"
+
 namespace sdps::engine {
 
 namespace {
@@ -398,6 +400,102 @@ JoinWindowState::Fired JoinWindowState::FireUpTo(SimTime watermark) {
   windows_.erase(windows_.begin(), windows_.begin() + static_cast<ptrdiff_t>(n_fired));
   SortOutputs(fired.outputs);
   return fired;
+}
+
+void BucketPartial::Add(const Record& rec, QueryKind kind) {
+  if (kind == QueryKind::kAggregation) {
+    aggs[rec.key].Merge(rec);
+  } else if (rec.stream == StreamId::kPurchases) {
+    purchases.push_back(rec);
+  } else {
+    ads.push_back(rec);
+  }
+  tuples += PhysicalTuples(rec);
+  max_event_time = std::max(max_event_time, rec.event_time);
+  max_ingest_time = std::max(max_ingest_time, rec.ingest_time);
+}
+
+BucketWindowState::BucketWindowState(const QueryConfig& query, SimTime interval,
+                                     int64_t resume_boundary)
+    : kind_(query.kind),
+      interval_(interval),
+      range_buckets_(query.window.range / interval),
+      slide_buckets_(query.window.slide / interval),
+      next_boundary_(resume_boundary >= 0 ? resume_boundary : slide_buckets_) {}
+
+AddResult BucketWindowState::Add(const Record& rec) {
+  buckets_[FloorDiv(rec.event_time, interval_) + 1].Add(rec, kind_);
+  return AddResult{1, 0};
+}
+
+std::optional<uint64_t> BucketWindowState::FireNext(SimTime frontier,
+                                                    std::vector<OutputRecord>* out) {
+  const int64_t nb = next_boundary_;
+  if (nb * interval_ > frontier) return std::nullopt;
+  if (frontier >= kFinalWatermark && buckets_.empty()) return std::nullopt;
+  std::vector<const BucketPartial*> window;
+  for (auto it = buckets_.lower_bound(nb - range_buckets_ + 1);
+       it != buckets_.end() && it->first <= nb; ++it) {
+    window.push_back(&it->second);
+  }
+  const uint64_t work = Evaluate(kind_, window, nb * interval_, out);
+  // Evict buckets no later boundary's window covers (the next boundary's
+  // window starts after bucket nb + slide - range).
+  const int64_t evict_thru = nb + slide_buckets_ - range_buckets_;
+  while (!buckets_.empty() && buckets_.begin()->first <= evict_thru) {
+    buckets_.erase(buckets_.begin());
+  }
+  next_boundary_ += slide_buckets_;
+  return work;
+}
+
+std::vector<OutputRecord> BucketWindowState::FireUpTo(SimTime frontier) {
+  std::vector<OutputRecord> out;
+  while (FireNext(frontier, &out)) {
+  }
+  return out;
+}
+
+uint64_t BucketWindowState::Evaluate(QueryKind kind,
+                                     const std::vector<const BucketPartial*>& window,
+                                     SimTime end, std::vector<OutputRecord>* out) {
+  // std::unordered_map on purpose: its iteration order is the aggregation's
+  // output order, which the recorded figure outputs pin.
+  uint64_t work = 0;
+  if (kind == QueryKind::kAggregation) {
+    std::unordered_map<uint64_t, WindowKeyAgg> merged;
+    for (const BucketPartial* b : window) {
+      for (const auto& [key, agg] : b->aggs) merged[key].Merge(agg);
+      work += b->aggs.size();
+    }
+    for (const auto& [key, agg] : merged) {
+      out->push_back({agg.max_event_time, agg.max_ingest_time, key, agg.sum, 1,
+                      agg.lineage, end});
+    }
+    return work;
+  }
+  std::unordered_map<uint64_t, std::vector<const Record*>> build;
+  SimTime max_event = 0, max_ingest = 0;
+  for (const BucketPartial* b : window) {
+    for (const Record& ad : b->ads) {
+      build[ad.key].push_back(&ad);
+      work += ad.weight;
+    }
+    max_event = std::max(max_event, b->max_event_time);
+    max_ingest = std::max(max_ingest, b->max_ingest_time);
+  }
+  for (const BucketPartial* b : window) {
+    for (const Record& p : b->purchases) {
+      work += p.weight;
+      const auto match = build.find(p.key);
+      if (match == build.end()) continue;
+      for (const Record* ad : match->second) {
+        out->push_back({max_event, max_ingest, p.key, p.value, p.weight,
+                        p.lineage >= 0 ? p.lineage : ad->lineage, end});
+      }
+    }
+  }
+  return work;
 }
 
 }  // namespace sdps::engine

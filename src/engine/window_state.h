@@ -10,6 +10,10 @@
 //  * JoinWindowState    — two-sided window buffers with hash-join
 //                         evaluation at trigger time (Flink 1.1 / Spark
 //                         both evaluate window joins at window close).
+//  * BucketWindowState  — Spark's event-time bucket partials, combined
+//                         per window at frontier-gated boundaries (the
+//                         deterministic micro-batch model both backends
+//                         share, DESIGN.md §6).
 //
 // Storage layout (perf-critical — every simulated tuple passes through
 // Add): open windows live in a sorted vector keyed by consecutive window
@@ -30,9 +34,13 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/group_hash.h"
+#include "engine/query.h"
 #include "engine/record.h"
 #include "engine/window.h"
 
@@ -59,6 +67,16 @@ struct WindowKeyAgg {
     if (r.event_time > max_event_time) max_event_time = r.event_time;
     if (r.ingest_time > max_ingest_time) max_ingest_time = r.ingest_time;
     if (lineage < 0) lineage = r.lineage;
+  }
+
+  /// Folds in another partial (a tree-aggregate or bucket combine step):
+  /// the same aggregate as merging both partials' records.
+  void Merge(const WindowKeyAgg& other) {
+    sum += other.sum;
+    weight += other.weight;
+    if (other.max_event_time > max_event_time) max_event_time = other.max_event_time;
+    if (other.max_ingest_time > max_ingest_time) max_ingest_time = other.max_ingest_time;
+    if (lineage < 0) lineage = other.lineage;
   }
 };
 
@@ -328,6 +346,84 @@ class JoinWindowState {
   int64_t min_unfired_window_ = std::numeric_limits<int64_t>::min();
   std::vector<int64_t> scratch_windows_;
   std::vector<uint64_t> scratch_keys_;  // batched build/probe key lane
+};
+
+/// One Spark bucket: the records of one event-time bucket (deterministic
+/// batching) or of one job (the classic arrival-batched reduce), kept as
+/// per-key partial aggregates (aggregation query) or raw two-sided
+/// buffers (join query).
+struct BucketPartial {
+  std::unordered_map<uint64_t, WindowKeyAgg> aggs;  // aggregation query
+  std::vector<Record> purchases;                    // join query
+  std::vector<Record> ads;
+  /// Physical tuples folded in: a shuffle-combined partial is deserialized,
+  /// folded and retained as ONE object (equal to weight without a
+  /// combiner).
+  uint64_t tuples = 0;
+  SimTime max_event_time = 0;
+  SimTime max_ingest_time = 0;
+
+  void Add(const Record& rec, QueryKind kind);
+};
+
+/// Spark's event-time bucket window (deterministic batching): bucket b
+/// holds the records with event time in [(b-1)*interval, b*interval), and
+/// boundary nb (a multiple of slide/interval) evaluates the window of
+/// buckets (nb - range/interval, nb], ending at nb*interval. A boundary
+/// fires only once the frontier — every record below it has been added —
+/// reaches its end, so the output multiset is a pure function of the
+/// input stream, not of arrival timing. Assumes in-order event times per
+/// input (a record for an already-fired boundary is not reported late).
+/// The DES SparkSut's deterministic reduce and the rt Spark task both run
+/// this state (DESIGN.md §6).
+class BucketWindowState {
+ public:
+  /// `resume_boundary` >= 0 restarts the cursor at a committed boundary (a
+  /// recovered incarnation must not re-evaluate what it already emitted);
+  /// -1 starts at the first boundary.
+  BucketWindowState(const QueryConfig& query, SimTime interval,
+                    int64_t resume_boundary = -1);
+
+  /// Folds the record into its event-time bucket (one window update).
+  AddResult Add(const Record& rec);
+
+  /// Fires the next boundary if `frontier` has reached its end: appends its
+  /// outputs to *out, evicts the buckets no later boundary covers and
+  /// advances the cursor. Returns the boundary's work (see Evaluate), or
+  /// nullopt when no boundary is due — including once the final frontier
+  /// (kFinalWatermark) has flushed every bucket. One boundary per call, so
+  /// a DES caller can charge and emit boundary by boundary.
+  std::optional<uint64_t> FireNext(SimTime frontier, std::vector<OutputRecord>* out);
+
+  /// Fires every due boundary, oldest first.
+  std::vector<OutputRecord> FireUpTo(SimTime frontier);
+
+  /// Evaluates one window over `window` (its buckets, oldest first) with
+  /// window_end `end`, appending the outputs to *out. Aggregation: one
+  /// output per key with the merged partials; returns the partial entries
+  /// merged. Join: build on the ads, probe with the purchases — one output
+  /// per matching (purchase, ad) pair carrying the purchase's value and
+  /// weight and the window's max times (paper Fig. 2); returns the side
+  /// weights scanned.
+  static uint64_t Evaluate(QueryKind kind,
+                           const std::vector<const BucketPartial*>& window,
+                           SimTime end, std::vector<OutputRecord>* out);
+
+  /// The next boundary FireNext evaluates: every boundary below it has
+  /// fired (the recovery cursor).
+  int64_t next_boundary() const { return next_boundary_; }
+  /// Buckets per window (range / interval).
+  int64_t range_buckets() const { return range_buckets_; }
+  /// Open buckets by index, ascending.
+  const std::map<int64_t, BucketPartial>& buckets() const { return buckets_; }
+
+ private:
+  QueryKind kind_;
+  SimTime interval_;
+  int64_t range_buckets_;
+  int64_t slide_buckets_;
+  int64_t next_boundary_;
+  std::map<int64_t, BucketPartial> buckets_;
 };
 
 }  // namespace sdps::engine

@@ -29,10 +29,10 @@ namespace {
 
 using des::Channel;
 using des::Task;
+using engine::kFinalWatermark;
 using engine::Message;
 using engine::Record;
 
-constexpr SimTime kFinalWatermark = std::numeric_limits<SimTime>::max() / 4;
 /// Checkpoint barriers travel in-band like watermarks, tagged by origin.
 constexpr int kBarrierOrigin = -1;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -19,6 +18,7 @@
 #include "engine/rate_limiter.h"
 #include "engine/record.h"
 #include "engine/telemetry.h"
+#include "engine/watermark.h"
 #include "engine/window_state.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
@@ -30,42 +30,11 @@ namespace {
 
 using des::Latch;
 using des::Task;
+using engine::BucketPartial;
+using engine::kFinalWatermark;
+using engine::kNoWatermark;
 using engine::Record;
 using engine::WindowKeyAgg;
-
-/// Sentinel frontier once every receiver drained: all buckets are sealed.
-constexpr SimTime kFinalFrontier = std::numeric_limits<SimTime>::max() / 4;
-/// "No sealed records yet" frontier (blocks every boundary).
-constexpr SimTime kNoFrontier = std::numeric_limits<SimTime>::min();
-
-int64_t FloorDiv(int64_t a, int64_t b) {
-  int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
-
-double InterpolateOverhead(const std::vector<std::pair<int, double>>& table, int workers) {
-  SDPS_CHECK(!table.empty());
-  if (workers <= table.front().first) return table.front().second;
-  for (size_t i = 1; i < table.size(); ++i) {
-    if (workers <= table[i].first) {
-      const auto [x0, y0] = table[i - 1];
-      const auto [x1, y1] = table[i];
-      const double f = static_cast<double>(workers - x0) / static_cast<double>(x1 - x0);
-      return y0 + f * (y1 - y0);
-    }
-  }
-  return table.back().second;
-}
-
-/// Merge of two running aggregates (tree-aggregate combine step).
-void MergeAgg(WindowKeyAgg& into, const WindowKeyAgg& from) {
-  into.sum += from.sum;
-  into.weight += from.weight;
-  into.max_event_time = std::max(into.max_event_time, from.max_event_time);
-  into.max_ingest_time = std::max(into.max_ingest_time, from.max_ingest_time);
-  if (into.lineage < 0) into.lineage = from.lineage;
-}
 
 /// Serialized size of one shuffled partial-aggregate entry.
 constexpr int64_t kPartialWireBytes = 64;
@@ -76,6 +45,24 @@ constexpr int64_t kRawTupleHeapBytes = 160;
 /// times its wire size — this is what makes caching windowed results
 /// "consume the memory aggressively" (paper Experiment 3).
 constexpr int64_t kCachedRddBytesPerTuple = 400;
+
+/// Block-manager bytes of one retained bucket partial (before caching).
+int64_t PartialHeapBytes(const BucketPartial& p) {
+  return static_cast<int64_t>(p.aggs.size()) * kPartialHeapBytes +
+         static_cast<int64_t>(p.purchases.size() + p.ads.size()) * kRawTupleHeapBytes;
+}
+
+/// Folds the shuffled records [begin, end) into the deterministic reduce's
+/// buckets; returns the physical tuples folded (the merge CPU charge).
+uint64_t FoldRun(engine::BucketWindowState& buckets, const Record* begin,
+                 const Record* end) {
+  uint64_t tuples = 0;
+  for (const Record* it = begin; it != end; ++it) {
+    buckets.Add(*it);
+    tuples += engine::PhysicalTuples(*it);
+  }
+  return tuples;
+}
 
 struct SparkBlock {
   std::vector<Record> records;
@@ -125,33 +112,19 @@ struct SparkJob {
   /// Deterministic batching only: min over receivers of the sealed
   /// event-time frontier at job creation. Every sealed record with a
   /// smaller event time is in this or an earlier job, so window
-  /// boundaries at or below the frontier are complete. kFinalFrontier
-  /// once all receivers drained and every block was sealed into a job.
-  SimTime det_frontier = kNoFrontier;
-};
-
-/// One batch's contribution to a reduce partition.
-struct BatchPartial {
-  int64_t batch_index = 0;
-  std::unordered_map<uint64_t, WindowKeyAgg> aggs;  // aggregation query
-  std::vector<Record> purchases;                    // join query
-  std::vector<Record> ads;
-  uint64_t tuples = 0;
-  SimTime max_event_time = 0;
-  SimTime max_ingest_time = 0;
+  /// boundaries at or below the frontier are complete (kNoWatermark: no
+  /// sealed record yet). kFinalWatermark once all receivers drained and
+  /// every block was sealed into a job.
+  SimTime det_frontier = kNoWatermark;
 };
 
 struct PartitionState {
-  std::deque<BatchPartial> history;          // newest at back
+  std::deque<BucketPartial> history;  // one partial per job, newest at back
   std::unordered_map<uint64_t, WindowKeyAgg> running;  // inverse-reduce mode
   int64_t heap_bytes = 0;
-  /// Deterministic batching: per-event-time-bucket partials (bucket b
-  /// covers [(b-1)*batch_interval, b*batch_interval)), ordered so window
-  /// assembly walks a contiguous range. Replaces `history` in det mode.
-  std::map<int64_t, BatchPartial> det_buckets;
-  /// Next window boundary (bucket index, multiple of slide_batches) to
-  /// evaluate; 0 = not initialised yet.
-  int64_t det_next_boundary = 0;
+  /// Deterministic batching: the event-time bucket partials and boundary
+  /// cursor. Replaces `history` in det mode.
+  std::optional<engine::BucketWindowState> det;
 };
 
 class SparkSut : public driver::Sut {
@@ -172,8 +145,9 @@ class SparkSut : public driver::Sut {
     ctx_ = ctx;
     cluster::Cluster& cluster = *ctx.cluster;
     const int workers = cluster.num_workers();
-    overhead_ = InterpolateOverhead(config_.scaling_overhead, workers);
-    receiver_overhead_ = InterpolateOverhead(config_.receiver_scaling_overhead, workers);
+    overhead_ = cluster::InterpolateOverhead(config_.scaling_overhead, workers);
+    receiver_overhead_ =
+        cluster::InterpolateOverhead(config_.receiver_scaling_overhead, workers);
     num_receivers_ = static_cast<int>(ctx.queues.size());
     num_reduce_ = workers * config_.reduce_tasks_per_worker;
     partitioner_.emplace(num_reduce_);
@@ -187,9 +161,14 @@ class SparkSut : public driver::Sut {
           "spark: shuffle_combine is incompatible with recovery_enabled");
     }
     partitions_.resize(static_cast<size_t>(num_reduce_));
+    if (config_.deterministic_batching) {
+      for (PartitionState& st : partitions_) {
+        st.det.emplace(config_.query, config_.batch_interval);
+      }
+    }
     block_manager_bytes_.assign(static_cast<size_t>(workers), 0);
     current_blocks_.resize(static_cast<size_t>(num_receivers_));
-    sealed_frontier_.assign(static_cast<size_t>(num_receivers_), kNoFrontier);
+    sealed_frontier_.assign(static_cast<size_t>(num_receivers_), kNoWatermark);
     receivers_done_ = 0;
 
     for (int r = 0; r < num_receivers_; ++r) {
@@ -396,7 +375,7 @@ class SparkSut : public driver::Sut {
           if (!b.records.empty()) drained = false;
         }
         if (drained) {
-          job->det_frontier = kFinalFrontier;
+          job->det_frontier = kFinalWatermark;
         } else {
           job->det_frontier = *std::min_element(sealed_frontier_.begin(),
                                                 sealed_frontier_.end());
@@ -652,13 +631,12 @@ class SparkSut : public driver::Sut {
     }
 
     // Merge this batch's inputs into a new partial.
-    BatchPartial partial;
-    partial.batch_index = job.batch_index;
+    BucketPartial partial;
     uint64_t merged_entries = 0;
     for (const MapOutput& mo : job.map_outputs) {
       if (!mo.combined.empty()) {
         for (const auto& [key, agg] : mo.combined[static_cast<size_t>(r)]) {
-          MergeAgg(partial.aggs[key], agg);
+          partial.aggs[key].Merge(agg);
           ++merged_entries;
           partial.tuples += agg.weight;
           partial.max_event_time = std::max(partial.max_event_time, agg.max_event_time);
@@ -667,20 +645,7 @@ class SparkSut : public driver::Sut {
         }
       } else if (mo.has_rows()) {
         for (const Record* it = mo.RunBegin(r); it != mo.RunEnd(r); ++it) {
-          const Record& rec = *it;
-          if (config_.query.kind == engine::QueryKind::kAggregation) {
-            partial.aggs[rec.key].Merge(rec);
-          } else if (rec.stream == engine::StreamId::kPurchases) {
-            partial.purchases.push_back(rec);
-          } else {
-            partial.ads.push_back(rec);
-          }
-          // Physical tuples: a shuffle-combined partial is deserialized,
-          // folded, and retained as ONE object. Equal to weight when no
-          // combiner ran.
-          partial.tuples += engine::PhysicalTuples(rec);
-          partial.max_event_time = std::max(partial.max_event_time, rec.event_time);
-          partial.max_ingest_time = std::max(partial.max_ingest_time, rec.ingest_time);
+          partial.Add(*it, config_.query.kind);
         }
       }
     }
@@ -700,13 +665,13 @@ class SparkSut : public driver::Sut {
 
     // Inverse-reduce: fold into the running window aggregate.
     if (config_.inverse_reduce && config_.query.kind == engine::QueryKind::kAggregation) {
-      for (const auto& [key, agg] : partial.aggs) MergeAgg(st.running[key], agg);
+      for (const auto& [key, agg] : partial.aggs) st.running[key].Merge(agg);
     }
     st.history.push_back(std::move(partial));
 
     // Evict batches that fell out of the window.
     while (static_cast<int64_t>(st.history.size()) > range_batches_) {
-      BatchPartial& old = st.history.front();
+      BucketPartial& old = st.history.front();
       if (config_.inverse_reduce &&
           config_.query.kind == engine::QueryKind::kAggregation) {
         // Subtract the evicted batch (the paper's "Inverse Reduce
@@ -729,10 +694,8 @@ class SparkSut : public driver::Sut {
 
     // Block-manager accounting for this partition's retained state.
     int64_t heap = 0;
-    for (const BatchPartial& p : st.history) {
-      heap += static_cast<int64_t>(p.aggs.size()) * kPartialHeapBytes;
-      heap += static_cast<int64_t>(p.purchases.size() + p.ads.size()) *
-              kRawTupleHeapBytes;
+    for (const BucketPartial& p : st.history) {
+      heap += PartialHeapBytes(p);
       if (config_.cache_window && !config_.inverse_reduce) {
         // Caching windowed results retains the raw window tuples as
         // deserialized java objects.
@@ -747,45 +710,25 @@ class SparkSut : public driver::Sut {
     // partial rather than skipped.
     if (job.batch_index % slide_batches_ == 0) {
       metrics_.windows_fired->Add(1);
-      if (config_.query.kind == engine::QueryKind::kAggregation) {
-        co_await EvaluateAggWindow(w, st, slow, job, r);
-      } else {
-        co_await EvaluateJoinWindow(w, st, slow, job, r);
-      }
+      co_await EvaluateWindow(w, st, slow, job, r);
     }
     done.CountDown();
   }
 
-  /// Deterministic-batching reduce: merge this job's raw shuffled records
-  /// into per-event-time-bucket partials, then evaluate every window
-  /// boundary the job's sealed frontier has passed. Bucket membership is
-  /// a pure function of the record's event time, and a boundary is only
-  /// evaluated once all its buckets are sealed — so the emitted multiset
-  /// of (key, window_end, value, weight) does not depend on arrival
-  /// timing. This is the Spark model the realtime backend reproduces
-  /// (DESIGN.md §6).
+  /// Deterministic-batching reduce: fold this job's shuffled records into
+  /// the partition's event-time buckets (engine::BucketWindowState), then
+  /// fire every window boundary the job's sealed frontier has passed,
+  /// charging and emitting (or staging) boundary by boundary. Bucket
+  /// membership is a pure function of the record's event time, and a
+  /// boundary fires only once all its buckets are sealed — so the emitted
+  /// multiset of (key, window_end, value, weight) does not depend on
+  /// arrival timing. The realtime backend's Spark task runs the same
+  /// bucket state (DESIGN.md §6).
   Task<> ReduceTaskDet(SparkJob& job, int r, cluster::Node& w, PartitionState& st,
                        double slow) {
+    engine::BucketWindowState& buckets = *st.det;
     uint64_t batch_tuples = 0;
     uint64_t tree_entries = 0;
-    auto fold = [&](const Record& rec) {
-      const int64_t bucket = FloorDiv(rec.event_time, config_.batch_interval) + 1;
-      BatchPartial& bp = st.det_buckets[bucket];
-      bp.batch_index = bucket;
-      if (config_.query.kind == engine::QueryKind::kAggregation) {
-        bp.aggs[rec.key].Merge(rec);
-      } else if (rec.stream == engine::StreamId::kPurchases) {
-        bp.purchases.push_back(rec);
-      } else {
-        bp.ads.push_back(rec);
-      }
-      // Physical tuples: a shuffle-combined partial folds and buckets as
-      // ONE object (equal to weight when no combiner ran).
-      bp.tuples += engine::PhysicalTuples(rec);
-      bp.max_event_time = std::max(bp.max_event_time, rec.event_time);
-      bp.max_ingest_time = std::max(bp.max_ingest_time, rec.ingest_time);
-      batch_tuples += engine::PhysicalTuples(rec);
-    };
     if (combine_) {
       // Tree-combine the per-map partial groups for this partition before
       // folding into buckets: each level pairwise-merges groups, charging
@@ -806,12 +749,12 @@ class SparkSut : public driver::Sut {
       tree_entries = engine::TreeCombine(&groups, &combiner);
       if (!groups.empty()) {
         const engine::RecordBatch& combined = groups.front();
-        for (size_t m = 0; m < combined.size(); ++m) fold(combined[m]);
+        batch_tuples += FoldRun(buckets, combined.begin(), combined.end());
       }
     } else {
       for (const MapOutput& mo : job.map_outputs) {
         if (!mo.has_rows()) continue;
-        for (const Record* it = mo.RunBegin(r); it != mo.RunEnd(r); ++it) fold(*it);
+        batch_tuples += FoldRun(buckets, mo.RunBegin(r), mo.RunEnd(r));
       }
     }
     const double merge_cost_us =
@@ -825,121 +768,42 @@ class SparkSut : public driver::Sut {
     if (recovery_) job.cpu_us[widx] += merge_cost_us;
 
     int64_t heap = 0;
-    for (const auto& [bucket, p] : st.det_buckets) {
-      heap += static_cast<int64_t>(p.aggs.size()) * kPartialHeapBytes;
-      heap += static_cast<int64_t>(p.purchases.size() + p.ads.size()) *
-              kRawTupleHeapBytes;
-    }
+    for (const auto& [index, p] : buckets.buckets()) heap += PartialHeapBytes(p);
     SetPartitionHeap(r, heap);
 
-    if (st.det_next_boundary == 0) st.det_next_boundary = slide_batches_;
-    const bool final_frontier = job.det_frontier >= kFinalFrontier;
+    // Boundary cost: entries merged (aggregation) or side tuples scanned
+    // (join), as in EvaluateWindow below.
+    std::vector<engine::OutputRecord> outs;
+    const bool aggregation = config_.query.kind == engine::QueryKind::kAggregation;
     for (;;) {
-      if (st.det_next_boundary * config_.batch_interval > job.det_frontier) break;
-      if (final_frontier && st.det_buckets.empty()) break;
-      const int64_t nb = st.det_next_boundary;
+      const std::optional<uint64_t> work = buckets.FireNext(job.det_frontier, &outs);
+      if (!work) break;
       metrics_.windows_fired->Add(1);
-      if (config_.query.kind == engine::QueryKind::kAggregation) {
-        co_await EvaluateDetAggBoundary(w, st, slow, job, r, nb);
-      } else {
-        co_await EvaluateDetJoinBoundary(w, st, slow, job, r, nb);
-      }
-      // Evict buckets no future boundary's window covers (the next
-      // boundary's window starts after bucket nb + slide - range).
-      const int64_t evict_thru = nb + slide_batches_ - range_batches_;
-      while (!st.det_buckets.empty() && st.det_buckets.begin()->first <= evict_thru) {
-        st.det_buckets.erase(st.det_buckets.begin());
-      }
-      st.det_next_boundary += slide_batches_;
+      const double units = static_cast<double>(*work);
+      const double eval_cost_us =
+          aggregation ? config_.reduce_entry_cost_us * units * overhead_ * slow
+                      : config_.join_tuple_cost_us * overhead_ * slow * units;
+      co_await CommitWindow(w, job, r, eval_cost_us, outs);
+      outs.clear();
     }
   }
 
-  /// One deterministic boundary of the aggregation query: merge the
-  /// bucket partials of window (nb - range_batches, nb] per key and emit
-  /// with window_end = nb * batch_interval.
-  Task<> EvaluateDetAggBoundary(cluster::Node& w, PartitionState& st, double slow,
-                                SparkJob& job, int r, int64_t nb) {
-    const SimTime window_end = nb * config_.batch_interval;
-    std::unordered_map<uint64_t, WindowKeyAgg> window;
-    uint64_t entries = 0;
-    auto it = st.det_buckets.lower_bound(nb - range_batches_ + 1);
-    for (; it != st.det_buckets.end() && it->first <= nb; ++it) {
-      for (const auto& [key, agg] : it->second.aggs) MergeAgg(window[key], agg);
-      entries += it->second.aggs.size();
-    }
-    std::vector<engine::OutputRecord> outs;
-    outs.reserve(window.size());
-    for (const auto& [key, agg] : window) {
-      outs.push_back({agg.max_event_time, agg.max_ingest_time, key, agg.sum, 1,
-                      agg.lineage, window_end});
-    }
-    const double eval_cost_us =
-        config_.reduce_entry_cost_us * static_cast<double>(entries) * overhead_ * slow;
-    co_await w.cpu().Use(CostUs(eval_cost_us));
-    if (recovery_) {
-      job.cpu_us[static_cast<size_t>(r) %
-                 static_cast<size_t>(ctx_.cluster->num_workers())] += eval_cost_us;
-      auto& staged = job.staged[static_cast<size_t>(r)];
-      staged.insert(staged.end(), outs.begin(), outs.end());
-    } else if (!outs.empty()) {
-      co_await EmitOutputs(w, outs);
-    }
-  }
-
-  /// One deterministic boundary of the join query: build on the window
-  /// buckets' ads, probe with their purchases (same pair emission as
-  /// EvaluateJoinWindow: one output per matching (purchase, ad) record
-  /// pair carrying the purchase's value and weight).
-  Task<> EvaluateDetJoinBoundary(cluster::Node& w, PartitionState& st, double slow,
-                                 SparkJob& job, int r, int64_t nb) {
-    const SimTime window_end = nb * config_.batch_interval;
-    std::unordered_map<uint64_t, std::vector<const Record*>> build;
-    uint64_t window_tuples = 0;
-    SimTime max_event = 0, max_ingest = 0;
-    const auto first = st.det_buckets.lower_bound(nb - range_batches_ + 1);
-    for (auto it = first; it != st.det_buckets.end() && it->first <= nb; ++it) {
-      for (const Record& ad : it->second.ads) {
-        build[ad.key].push_back(&ad);
-        window_tuples += ad.weight;
-      }
-      max_event = std::max(max_event, it->second.max_event_time);
-      max_ingest = std::max(max_ingest, it->second.max_ingest_time);
-    }
-    std::vector<engine::OutputRecord> outs;
-    for (auto it = first; it != st.det_buckets.end() && it->first <= nb; ++it) {
-      for (const Record& rec : it->second.purchases) {
-        window_tuples += rec.weight;
-        const auto match = build.find(rec.key);
-        if (match == build.end()) continue;
-        for (const Record* ad : match->second) {
-          outs.push_back({max_event, max_ingest, rec.key, rec.value, rec.weight,
-                          rec.lineage >= 0 ? rec.lineage : ad->lineage, window_end});
-        }
-      }
-    }
-    const double eval_cost_us = config_.join_tuple_cost_us * overhead_ * slow *
-                                static_cast<double>(window_tuples);
-    co_await w.cpu().Use(CostUs(eval_cost_us));
-    if (recovery_) {
-      job.cpu_us[static_cast<size_t>(r) %
-                 static_cast<size_t>(ctx_.cluster->num_workers())] += eval_cost_us;
-      auto& staged = job.staged[static_cast<size_t>(r)];
-      staged.insert(staged.end(), outs.begin(), outs.end());
-    } else if (!outs.empty()) {
-      co_await EmitOutputs(w, outs);
-    }
-  }
-
-  Task<> EvaluateAggWindow(cluster::Node& w, PartitionState& st, double slow,
-                           SparkJob& job, int r) {
+  /// Classic (arrival-batched) window evaluation over the partition's job
+  /// partials: the running aggregate under inverse reduce, otherwise the
+  /// shared bucket evaluator over the whole history, charged as a merge of
+  /// cached partials (cache_window) or a recompute of the window's tuples.
+  Task<> EvaluateWindow(cluster::Node& w, PartitionState& st, double slow,
+                        SparkJob& job, int r) {
     // Output identity: the window of this evaluation closes at the batch
     // boundary (stable across recomputation of the same batch).
     const SimTime window_end = job.batch_index * config_.batch_interval;
+    const bool aggregation = config_.query.kind == engine::QueryKind::kAggregation;
     std::vector<engine::OutputRecord> outs;
     double eval_cost_us = 0;
-    if (config_.inverse_reduce) {
+    if (aggregation && config_.inverse_reduce) {
       // Running aggregate is already current; only emission work remains.
-      eval_cost_us = config_.reduce_entry_cost_us * static_cast<double>(st.running.size());
+      eval_cost_us = config_.reduce_entry_cost_us *
+                     static_cast<double>(st.running.size()) * overhead_ * slow;
       outs.reserve(st.running.size());
       for (const auto& [key, agg] : st.running) {
         if (agg.weight == 0) continue;
@@ -947,72 +811,37 @@ class SparkSut : public driver::Sut {
                         agg.lineage, window_end});
       }
     } else {
-      std::unordered_map<uint64_t, WindowKeyAgg> window;
-      uint64_t entries = 0;
+      std::vector<const BucketPartial*> window;
       uint64_t window_tuples = 0;
-      for (const BatchPartial& p : st.history) {
-        for (const auto& [key, agg] : p.aggs) MergeAgg(window[key], agg);
-        entries += p.aggs.size();
+      for (const BucketPartial& p : st.history) {
+        window.push_back(&p);
         window_tuples += p.tuples;
       }
-      if (config_.cache_window) {
+      const uint64_t work = engine::BucketWindowState::Evaluate(
+          config_.query.kind, window, window_end, &outs);
+      if (!aggregation) {
+        eval_cost_us = config_.join_tuple_cost_us * overhead_ * slow *
+                       static_cast<double>(work);
+      } else if (config_.cache_window) {
         // Combine cached per-batch partials.
-        eval_cost_us = config_.reduce_entry_cost_us * static_cast<double>(entries);
+        eval_cost_us = config_.reduce_entry_cost_us * static_cast<double>(work) *
+                       overhead_ * slow;
       } else {
         // No cache: re-aggregate the window's raw tuples on every slide
         // ("we experienced the performance decreased due to the repeated
         // computation").
-        eval_cost_us =
-            config_.reduce_tuple_cost_us * static_cast<double>(window_tuples);
-      }
-      outs.reserve(window.size());
-      for (const auto& [key, agg] : window) {
-        outs.push_back({agg.max_event_time, agg.max_ingest_time, key, agg.sum, 1,
-                        agg.lineage, window_end});
+        eval_cost_us = config_.reduce_tuple_cost_us *
+                       static_cast<double>(window_tuples) * overhead_ * slow;
       }
     }
-    co_await w.cpu().Use(CostUs(eval_cost_us * overhead_ * slow));
-    if (recovery_) {
-      job.cpu_us[static_cast<size_t>(r) %
-                 static_cast<size_t>(ctx_.cluster->num_workers())] +=
-          eval_cost_us * overhead_ * slow;
-      auto& staged = job.staged[static_cast<size_t>(r)];
-      staged.insert(staged.end(), outs.begin(), outs.end());
-    } else if (!outs.empty()) {
-      co_await EmitOutputs(w, outs);
-    }
+    co_await CommitWindow(w, job, r, eval_cost_us, outs);
   }
 
-  Task<> EvaluateJoinWindow(cluster::Node& w, PartitionState& st, double slow,
-                            SparkJob& job, int r) {
-    // Build on ads, probe with purchases, across the window's batches.
-    std::unordered_map<uint64_t, std::vector<const Record*>> build;
-    uint64_t window_tuples = 0;
-    SimTime max_event = 0, max_ingest = 0;
-    for (const BatchPartial& p : st.history) {
-      for (const Record& ad : p.ads) {
-        build[ad.key].push_back(&ad);
-        window_tuples += ad.weight;
-      }
-      max_event = std::max(max_event, p.max_event_time);
-      max_ingest = std::max(max_ingest, p.max_ingest_time);
-    }
-    const SimTime window_end = job.batch_index * config_.batch_interval;
-    std::vector<engine::OutputRecord> outs;
-    for (const BatchPartial& p : st.history) {
-      for (const Record& rec : p.purchases) {
-        window_tuples += rec.weight;
-        const auto it = build.find(rec.key);
-        if (it == build.end()) continue;
-        for (size_t m = 0; m < it->second.size(); ++m) {
-          const Record* ad = it->second[m];
-          outs.push_back({max_event, max_ingest, rec.key, rec.value, rec.weight,
-                          rec.lineage >= 0 ? rec.lineage : ad->lineage, window_end});
-        }
-      }
-    }
-    const double eval_cost_us = config_.join_tuple_cost_us * overhead_ * slow *
-                                static_cast<double>(window_tuples);
+  /// Charges one window evaluation to the reduce worker, then emits its
+  /// outputs — or, under recovery, books the charge for a recompute and
+  /// stages the outputs until the batch commits.
+  Task<> CommitWindow(cluster::Node& w, SparkJob& job, int r, double eval_cost_us,
+                      const std::vector<engine::OutputRecord>& outs) {
     co_await w.cpu().Use(CostUs(eval_cost_us));
     if (recovery_) {
       job.cpu_us[static_cast<size_t>(r) %

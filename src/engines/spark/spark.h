@@ -85,14 +85,16 @@ struct SparkConfig {
   bool tree_aggregate = true;
   bool cache_window = true;
   bool inverse_reduce = false;
-  /// Deterministic batch membership: records are bucketed by EVENT time
+  /// Deterministic batch membership: each reduce partition keeps an
+  /// engine::BucketWindowState, which buckets records by EVENT time
   /// (bucket b covers [(b-1)*batch_interval, b*batch_interval)) instead of
-  /// by which job their block happened to land in, and a window boundary
-  /// is evaluated only once the sealed event-time frontier passes it — so
-  /// the output multiset is a pure function of the input stream, not of
-  /// arrival timing. This is what makes Spark's outputs comparable across
-  /// the DES and realtime backends (DESIGN.md §6); it assumes in-order
-  /// event times per receiver (max_event_lag == 0). Off by default: the
+  /// by which job their block happened to land in, and evaluates a window
+  /// boundary only once the jobs' sealed event-time frontier reaches its
+  /// end — so the output multiset is a pure function of the input stream,
+  /// not of arrival timing. The realtime backend's Spark task runs the
+  /// same bucket state, which is what makes Spark's outputs comparable
+  /// across the two backends (DESIGN.md §6); it assumes in-order event
+  /// times per receiver (max_event_lag == 0). Off by default: the
   /// arrival-batched behaviour above is the faithful Spark Streaming
   /// model, with its timing-dependent startup/partial windows.
   bool deterministic_batching = false;

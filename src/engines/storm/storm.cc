@@ -26,24 +26,9 @@ namespace {
 
 using des::Channel;
 using des::Task;
+using engine::kFinalWatermark;
 using engine::Message;
 using engine::Record;
-
-constexpr SimTime kFinalWatermark = std::numeric_limits<SimTime>::max() / 4;
-
-double InterpolateOverhead(const std::vector<std::pair<int, double>>& table, int workers) {
-  SDPS_CHECK(!table.empty());
-  if (workers <= table.front().first) return table.front().second;
-  for (size_t i = 1; i < table.size(); ++i) {
-    if (workers <= table[i].first) {
-      const auto [x0, y0] = table[i - 1];
-      const auto [x1, y1] = table[i];
-      const double f = static_cast<double>(workers - x0) / static_cast<double>(x1 - x0);
-      return y0 + f * (y1 - y0);
-    }
-  }
-  return table.back().second;
-}
 
 class StormSut : public driver::Sut {
  public:
@@ -55,7 +40,7 @@ class StormSut : public driver::Sut {
     ctx_ = ctx;
     cluster::Cluster& cluster = *ctx.cluster;
     const int workers = cluster.num_workers();
-    overhead_ = InterpolateOverhead(config_.scaling_overhead, workers);
+    overhead_ = cluster::InterpolateOverhead(config_.scaling_overhead, workers);
     num_bolts_ = workers * config_.bolts_per_worker;
     num_queues_ = static_cast<int>(ctx.queues.size());
     SDPS_CHECK_GT(num_queues_, 0);

@@ -5,10 +5,8 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <map>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "chaos/recovery.h"
@@ -37,20 +35,10 @@ namespace sdps::rt {
 
 namespace {
 
+using engine::kFinalWatermark;
 using engine::Message;
 using engine::OutputRecord;
 using engine::Record;
-using engine::WindowKeyAgg;
-
-/// Same final-watermark sentinel as the DES engines: flushes every open
-/// window / remaining boundary.
-constexpr SimTime kFinalWatermark = std::numeric_limits<SimTime>::max() / 4;
-
-int64_t FloorDiv(int64_t a, int64_t b) {
-  int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
 
 /// One ring element: a run of same-partition records (the batched data
 /// plane's coalescing unit) and/or an in-band per-source watermark. The
@@ -139,120 +127,6 @@ bool PopAny(std::vector<SpscRing<T>*>& rings, size_t* rr, T* out,
     }
   }
 }
-
-/// The Spark model's event-time bucket partial: one micro-batch bucket's
-/// per-key aggregates (aggregation) or two-sided raw buffers (join).
-/// Mirrors the DES SparkSut's deterministic-batching BatchPartial.
-struct SparkBucket {
-  std::unordered_map<uint64_t, WindowKeyAgg> aggs;
-  std::vector<Record> purchases;
-  std::vector<Record> ads;
-  SimTime max_event_time = 0;
-  SimTime max_ingest_time = 0;
-};
-
-/// Per-task window state for the Spark model: bucket partials plus the
-/// frontier-gated boundary cursor (same recurrence as ReduceTaskDet in
-/// engines/spark).
-class SparkTaskState {
- public:
-  /// `resume_boundary` >= 0 restarts the cursor at a committed boundary (a
-  /// recovered incarnation must not re-evaluate what it already emitted);
-  /// -1 starts fresh at the first boundary.
-  SparkTaskState(const engine::QueryConfig& query, SimTime batch_interval,
-                 int64_t resume_boundary = -1)
-      : query_(query), batch_interval_(batch_interval) {
-    range_batches_ = query.window.range / batch_interval;
-    slide_batches_ = query.window.slide / batch_interval;
-    next_boundary_ = resume_boundary >= 0 ? resume_boundary : slide_batches_;
-  }
-
-  void Add(const Record& rec) {
-    const int64_t bucket = FloorDiv(rec.event_time, batch_interval_) + 1;
-    SparkBucket& bp = buckets_[bucket];
-    if (query_.kind == engine::QueryKind::kAggregation) {
-      bp.aggs[rec.key].Merge(rec);
-    } else if (rec.stream == engine::StreamId::kPurchases) {
-      bp.purchases.push_back(rec);
-    } else {
-      bp.ads.push_back(rec);
-    }
-    bp.max_event_time = std::max(bp.max_event_time, rec.event_time);
-    bp.max_ingest_time = std::max(bp.max_ingest_time, rec.ingest_time);
-  }
-
-  /// Evaluates every boundary the frontier has passed (all boundaries
-  /// when the frontier is the final watermark), appending outputs.
-  void FireUpTo(SimTime frontier, std::vector<OutputRecord>* outs) {
-    const bool final_frontier = frontier >= kFinalWatermark;
-    for (;;) {
-      if (next_boundary_ * batch_interval_ > frontier) break;
-      if (final_frontier && buckets_.empty()) break;
-      EvaluateBoundary(next_boundary_, outs);
-      const int64_t evict_thru = next_boundary_ + slide_batches_ - range_batches_;
-      while (!buckets_.empty() && buckets_.begin()->first <= evict_thru) {
-        buckets_.erase(buckets_.begin());
-      }
-      next_boundary_ += slide_batches_;
-    }
-  }
-
-  /// The next boundary FireUpTo will evaluate: everything below is
-  /// committed output (the Spark recovery cursor).
-  int64_t next_boundary() const { return next_boundary_; }
-  int64_t range_batches() const { return range_batches_; }
-
- private:
-  void EvaluateBoundary(int64_t nb, std::vector<OutputRecord>* outs) {
-    const SimTime window_end = nb * batch_interval_;
-    const auto first = buckets_.lower_bound(nb - range_batches_ + 1);
-    if (query_.kind == engine::QueryKind::kAggregation) {
-      std::unordered_map<uint64_t, WindowKeyAgg> window;
-      for (auto it = first; it != buckets_.end() && it->first <= nb; ++it) {
-        for (const auto& [key, agg] : it->second.aggs) {
-          WindowKeyAgg& into = window[key];
-          into.sum += agg.sum;
-          into.weight += agg.weight;
-          into.max_event_time = std::max(into.max_event_time, agg.max_event_time);
-          into.max_ingest_time = std::max(into.max_ingest_time, agg.max_ingest_time);
-          if (into.lineage < 0) into.lineage = agg.lineage;
-        }
-      }
-      for (const auto& [key, agg] : window) {
-        outs->push_back({agg.max_event_time, agg.max_ingest_time, key, agg.sum, 1,
-                         agg.lineage, window_end});
-      }
-      return;
-    }
-    // Join: build on the window buckets' ads, probe with their purchases
-    // (one output per matching record pair, the purchase's value/weight —
-    // same emission as the DES EvaluateDetJoinBoundary).
-    std::unordered_map<uint64_t, std::vector<const Record*>> build;
-    SimTime max_event = 0, max_ingest = 0;
-    for (auto it = first; it != buckets_.end() && it->first <= nb; ++it) {
-      for (const Record& ad : it->second.ads) build[ad.key].push_back(&ad);
-      max_event = std::max(max_event, it->second.max_event_time);
-      max_ingest = std::max(max_ingest, it->second.max_ingest_time);
-    }
-    for (auto it = first; it != buckets_.end() && it->first <= nb; ++it) {
-      for (const Record& rec : it->second.purchases) {
-        const auto match = build.find(rec.key);
-        if (match == build.end()) continue;
-        for (const Record* ad : match->second) {
-          outs->push_back({max_event, max_ingest, rec.key, rec.value, rec.weight,
-                           rec.lineage >= 0 ? rec.lineage : ad->lineage, window_end});
-        }
-      }
-    }
-  }
-
-  engine::QueryConfig query_;
-  SimTime batch_interval_;
-  int64_t range_batches_ = 0;
-  int64_t slide_batches_ = 0;
-  int64_t next_boundary_ = 0;
-  std::map<int64_t, SparkBucket> buckets_;
-};
 
 /// The Flink model's committed checkpoint: a deep copy of the window state
 /// + watermark tracker at the commit point. Restoring it and replaying the
@@ -670,7 +544,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       std::optional<engine::AggWindowState> flink_state;
       std::optional<engine::BufferedWindowState> storm_state;
       std::optional<engine::JoinWindowState> join_state;
-      std::optional<SparkTaskState> spark_state;
+      std::optional<engine::BucketWindowState> spark_state;
       uint64_t late = 0;
       if (spark) {
         spark_state.emplace(config.query, config.batch_interval,
@@ -849,7 +723,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
           obs::ScopedSpan apply(tracer, track, "window.apply");
           apply.Arg("records", static_cast<double>(env.records.size()));
           if (spark_state) {
-            for (const Record& rec : env.records) spark_state->Add(rec);
+            engine::AddBatch(*spark_state, env.records.begin(), env.records.size());
           } else if (flink_state) {
             late += engine::AddBatch(*flink_state, env.records.begin(),
                                      env.records.size())
@@ -883,7 +757,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
           const SimTime wm = tracker.current();
           obs::ScopedSpan fire(tracer, track, "window.fire");
           if (spark_state) {
-            spark_state->FireUpTo(wm, &fired);
+            fired = spark_state->FireUpTo(wm);
           } else if (flink_state) {
             fired = flink_state->FireUpTo(wm);
           } else if (storm_state) {
@@ -918,7 +792,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
             // with event time >= (cursor - range_batches) * interval.
             slot.spark_committed = spark_state->next_boundary();
             const SimTime frontier =
-                (slot.spark_committed - spark_state->range_batches()) *
+                (slot.spark_committed - spark_state->range_buckets()) *
                 config.batch_interval;
             ack_through_frontier(frontier, /*strict=*/true);
           }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "engine/watermark.h"
 
 namespace sdps::engine {
 namespace {
@@ -120,6 +121,32 @@ TEST(WindowKeyAggTest, TracksMaxTimesAtAndBelowZero) {
   agg.Merge(r2);
   EXPECT_EQ(agg.max_event_time, -Seconds(2));  // -5s does not displace -2s
   EXPECT_DOUBLE_EQ(agg.sum, 11.0);
+}
+
+TEST(WindowKeyAggTest, MergingPartialsEqualsMergingTheirRecords) {
+  // Two partials over disjoint record runs, merged, must equal one
+  // aggregate over both runs in order (integer values keep sums exact).
+  Rng rng(5);
+  for (int trial = 0; trial < 50; ++trial) {
+    WindowKeyAgg a, b, all;
+    const int n = static_cast<int>(rng.NextBelow(20));
+    for (int i = 0; i < n; ++i) {
+      const SimTime event = static_cast<SimTime>(rng.NextBelow(Seconds(100))) - Seconds(50);
+      Record r = MakeRecord(event, 1, static_cast<double>(rng.NextBelow(100)),
+                            static_cast<SimTime>(rng.NextBelow(Seconds(100))),
+                            StreamId::kPurchases,
+                            static_cast<uint32_t>(rng.NextBelow(3) + 1));
+      r.lineage = rng.NextDouble() < 0.2 ? static_cast<int32_t>(i) : -1;
+      (i < n / 2 ? a : b).Merge(r);
+      all.Merge(r);
+    }
+    a.Merge(b);
+    EXPECT_DOUBLE_EQ(a.sum, all.sum);
+    EXPECT_EQ(a.weight, all.weight);
+    EXPECT_EQ(a.max_event_time, all.max_event_time);
+    EXPECT_EQ(a.max_ingest_time, all.max_ingest_time);
+    EXPECT_EQ(a.lineage, all.lineage);
+  }
 }
 
 TEST(AggWindowStateTest, OutOfOrderReclaimOfOpenWindowLane) {
@@ -445,6 +472,236 @@ TEST(AggWindowStateBatchTest, FreeFunctionOverloadRoutesToMember) {
     EXPECT_EQ(per_a[i].late_tuples, per_b[i].late_tuples);
   }
   EXPECT_EQ(a.state_bytes(), b.state_bytes());
+}
+
+// ---------------------------------------------------------------------------
+// BucketWindowState (Spark's event-time buckets): every boundary's outputs
+// against a brute-force reference that assigns each record to the
+// boundaries whose window contains it.
+// ---------------------------------------------------------------------------
+
+struct BucketShape {
+  SimTime range;
+  SimTime slide;
+  SimTime interval;
+};
+
+/// In-order stream (event times nondecreasing, on a 250 ms grid so many
+/// records sit exactly on a bucket edge), integer values so sums are exact
+/// in any merge order.
+std::vector<Record> InOrderStream(uint64_t seed, int n, SimTime span, uint64_t keys,
+                                  bool join) {
+  Rng rng(seed);
+  std::vector<SimTime> times;
+  for (int i = 0; i < n; ++i) {
+    times.push_back(static_cast<SimTime>(rng.NextBelow(span / Millis(250))) * Millis(250));
+  }
+  std::sort(times.begin(), times.end());
+  std::vector<Record> recs;
+  for (int i = 0; i < n; ++i) {
+    const StreamId stream =
+        join && rng.NextDouble() < 0.5 ? StreamId::kAds : StreamId::kPurchases;
+    recs.push_back(MakeRecord(times[static_cast<size_t>(i)], rng.NextBelow(keys) + 1,
+                              static_cast<double>(rng.NextBelow(100)),
+                              times[static_cast<size_t>(i)] +
+                                  static_cast<SimTime>(rng.NextBelow(Seconds(1))),
+                              stream, static_cast<uint32_t>(rng.NextBelow(3) + 1)));
+  }
+  return recs;
+}
+
+/// Feeds `recs` in order, firing at the running max event time now and
+/// then (every record below it has been added), then flushes with the
+/// final watermark. Returns the outputs and the total reported work.
+std::vector<OutputRecord> RunBuckets(BucketWindowState& state,
+                                     const std::vector<Record>& recs,
+                                     uint64_t* work = nullptr) {
+  std::vector<OutputRecord> outs;
+  uint64_t total = 0;
+  const auto fire = [&](SimTime frontier) {
+    while (const std::optional<uint64_t> w = state.FireNext(frontier, &outs)) total += *w;
+  };
+  for (size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(state.Add(recs[i]).window_updates, 1);
+    if (i % 97 == 0) fire(recs[i].event_time);
+  }
+  fire(kFinalWatermark);
+  if (work != nullptr) *work = total;
+  return outs;
+}
+
+/// Boundaries (bucket indices) whose window contains event time t.
+std::vector<int64_t> BoundariesOf(SimTime t, const BucketShape& shape) {
+  const int64_t bucket = FloorDiv(t, shape.interval) + 1;
+  const int64_t range = shape.range / shape.interval;
+  const int64_t slide = shape.slide / shape.interval;
+  std::vector<int64_t> out;
+  for (int64_t nb = FloorDiv(bucket + slide - 1, slide) * slide; nb < bucket + range;
+       nb += slide) {
+    out.push_back(nb);
+  }
+  return out;
+}
+
+const BucketShape kBucketShapes[] = {{Seconds(8), Seconds(4), Seconds(4)},
+                                     {Seconds(8), Seconds(4), Seconds(2)},
+                                     {Seconds(12), Seconds(4), Seconds(1)},
+                                     {Seconds(6), Seconds(6), Seconds(3)},
+                                     {Seconds(4), Seconds(2), Seconds(2)}};
+
+TEST(BucketWindowStateTest, AggMatchesBruteForceReference) {
+  uint64_t seed = 200;
+  for (const BucketShape& shape : kBucketShapes) {
+    SCOPED_TRACE(shape.interval);
+    const QueryConfig query{QueryKind::kAggregation, {shape.range, shape.slide}};
+    BucketWindowState state(query, shape.interval);
+    const std::vector<Record> recs = InOrderStream(++seed, 3000, Seconds(60), 25, false);
+    uint64_t work = 0;
+    const std::vector<OutputRecord> outs = RunBuckets(state, recs, &work);
+    EXPECT_TRUE(state.buckets().empty());
+
+    // Reference: per (window_end, key) merged aggregate, built per record.
+    std::map<std::pair<SimTime, uint64_t>, WindowKeyAgg> ref;
+    for (const Record& r : recs) {
+      for (const int64_t nb : BoundariesOf(r.event_time, shape)) {
+        ref[{nb * shape.interval, r.key}].Merge(r);
+      }
+    }
+    ASSERT_EQ(outs.size(), ref.size());
+    SimTime last_end = 0;
+    for (const OutputRecord& o : outs) {
+      EXPECT_GE(o.window_end, last_end);  // boundaries fire oldest first
+      last_end = o.window_end;
+      const auto it = ref.find({o.window_end, o.key});
+      ASSERT_NE(it, ref.end());
+      EXPECT_DOUBLE_EQ(o.value, it->second.sum);
+      EXPECT_EQ(o.weight, 1u);
+      EXPECT_EQ(o.max_event_time, it->second.max_event_time);
+      EXPECT_EQ(o.max_ingest_time, it->second.max_ingest_time);
+      ref.erase(it);  // each (window, key) exactly once
+    }
+    EXPECT_GT(work, 0u);
+  }
+}
+
+TEST(BucketWindowStateTest, JoinMatchesNestedLoopReference) {
+  uint64_t seed = 300;
+  for (const BucketShape& shape : kBucketShapes) {
+    SCOPED_TRACE(shape.interval);
+    const QueryConfig query{QueryKind::kJoin, {shape.range, shape.slide}};
+    BucketWindowState state(query, shape.interval);
+    const std::vector<Record> recs = InOrderStream(++seed, 600, Seconds(40), 12, true);
+    uint64_t work = 0;
+    const std::vector<OutputRecord> outs = RunBuckets(state, recs, &work);
+
+    // Reference: per boundary, its window's records; one output per
+    // matching (purchase, ad) pair with the window's max times (Fig. 2).
+    std::map<int64_t, std::vector<const Record*>> windows;
+    for (const Record& r : recs) {
+      for (const int64_t nb : BoundariesOf(r.event_time, shape)) {
+        windows[nb].push_back(&r);
+      }
+    }
+    using Row = std::tuple<SimTime, uint64_t, double, uint64_t, SimTime, SimTime>;
+    std::vector<Row> expected, got;
+    uint64_t expected_work = 0;
+    for (const auto& [nb, rs] : windows) {
+      SimTime max_event = 0, max_ingest = 0;
+      for (const Record* r : rs) {
+        max_event = std::max(max_event, r->event_time);
+        max_ingest = std::max(max_ingest, r->ingest_time);
+        expected_work += r->weight;
+      }
+      for (const Record* p : rs) {
+        if (p->stream != StreamId::kPurchases) continue;
+        for (const Record* a : rs) {
+          if (a->stream != StreamId::kAds || a->key != p->key) continue;
+          expected.emplace_back(nb * shape.interval, p->key, p->value, p->weight,
+                                max_event, max_ingest);
+        }
+      }
+    }
+    for (const OutputRecord& o : outs) {
+      got.emplace_back(o.window_end, o.key, o.value, o.weight, o.max_event_time,
+                       o.max_ingest_time);
+    }
+    std::sort(expected.begin(), expected.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(work, expected_work);  // side weights scanned, every boundary
+  }
+}
+
+TEST(BucketWindowStateTest, NoBoundaryFiresBeforeTheFrontierPassesItsEnd) {
+  // Range 8 s, slide 4 s, 2 s buckets: boundary nb ends at nb * 2 s.
+  const QueryConfig query{QueryKind::kAggregation, {Seconds(8), Seconds(4)}};
+  BucketWindowState state(query, Seconds(2));
+  EXPECT_EQ(state.next_boundary(), 2);
+  EXPECT_EQ(state.range_buckets(), 4);
+  for (SimTime t = 0; t < Seconds(20); t += Millis(500)) {
+    state.Add(MakeRecord(t, 1 + static_cast<uint64_t>(t % 3), 1.0));
+  }
+  std::vector<OutputRecord> outs;
+  EXPECT_FALSE(state.FireNext(kNoWatermark, &outs));
+  for (int64_t nb = 2; nb <= 10; nb += 2) {
+    const SimTime end = nb * Seconds(2);
+    EXPECT_FALSE(state.FireNext(end - 1, &outs)) << nb;
+    EXPECT_EQ(state.next_boundary(), nb);
+    outs.clear();
+    ASSERT_TRUE(state.FireNext(end, &outs)) << nb;
+    ASSERT_FALSE(outs.empty());
+    for (const OutputRecord& o : outs) EXPECT_EQ(o.window_end, end);
+    EXPECT_EQ(state.next_boundary(), nb + 2);
+  }
+}
+
+TEST(BucketWindowStateTest, FinalFrontierFlushesThenStops) {
+  const QueryConfig query{QueryKind::kJoin, {Seconds(8), Seconds(4)}};
+  BucketWindowState empty(query, Seconds(4));
+  std::vector<OutputRecord> outs;
+  EXPECT_FALSE(empty.FireNext(kFinalWatermark, &outs));  // nothing to flush
+  EXPECT_EQ(empty.next_boundary(), 1);
+
+  BucketWindowState state(query, Seconds(4));
+  state.Add(MakeRecord(Seconds(5), 7, 0, -1, StreamId::kAds));
+  state.Add(MakeRecord(Seconds(9), 7, 5.0));
+  // Buckets 2 and 3; boundaries 1 to 4 fire, the last one (window
+  // [8 s, 16 s)) evicts bucket 3.
+  outs = state.FireUpTo(kFinalWatermark);
+  EXPECT_TRUE(state.buckets().empty());
+  EXPECT_EQ(state.next_boundary(), 5);
+  ASSERT_EQ(outs.size(), 1u);  // only window [4 s, 12 s) holds both sides
+  EXPECT_EQ(outs[0].window_end, Seconds(12));
+  EXPECT_FALSE(state.FireNext(kFinalWatermark, &outs));
+  EXPECT_EQ(state.next_boundary(), 5);
+}
+
+TEST(BucketWindowStateTest, ResumedCursorNeverReemitsBelowIt) {
+  const QueryConfig query{QueryKind::kAggregation, {Seconds(12), Seconds(4)}};
+  const std::vector<Record> recs = InOrderStream(400, 2000, Seconds(60), 10, false);
+  BucketWindowState fresh(query, Seconds(4));
+  const std::vector<OutputRecord> all = RunBuckets(fresh, recs);
+  for (const int64_t resume : {4, 7, 10}) {
+    SCOPED_TRACE(resume);
+    // A recovered incarnation replays the whole stream from its start.
+    BucketWindowState resumed(query, Seconds(4), resume);
+    EXPECT_EQ(resumed.next_boundary(), resume);
+    const std::vector<OutputRecord> outs = RunBuckets(resumed, recs);
+    std::vector<std::tuple<SimTime, uint64_t, double>> got, want;
+    for (const OutputRecord& o : outs) {
+      EXPECT_GE(o.window_end, resume * Seconds(4));
+      got.emplace_back(o.window_end, o.key, o.value);
+    }
+    // Boundaries at or above the cursor match the fresh run's.
+    for (const OutputRecord& o : all) {
+      if (o.window_end >= resume * Seconds(4)) {
+        want.emplace_back(o.window_end, o.key, o.value);
+      }
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+  }
 }
 
 }  // namespace
