@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Interleaved A/B comparison of two source trees on one benchmark workload.
+"""Interleaved A/B comparison of two source trees on benchmark workloads.
 
-    python3 scripts/ab.py TREE_A TREE_B --workload W --pairs N [--smoke]
+    python3 scripts/ab.py TREE_A TREE_B --workload W[,W2...]|all --pairs N [--smoke]
 
 Runs perfbench/run.py in each tree once per pair, on seeds 1, 2, ..., for
 BENCHMARK.json's run_seconds, alternating which tree goes first so host
-drift hits both sides alike.
+drift hits both sides alike. --workload takes one workload, a
+comma-separated list, or "all" (every workload of BENCHMARK.json); the
+pairs interleave per seed across the listed workloads (seed 1 of each,
+then seed 2 of each, ...), and one verdict table is printed per workload.
 Each side builds into its own CARGO_TARGET_DIR (.bench_build/ab-a or
 .bench_build/ab-b inside its tree), so the two builds never share objects,
 even when TREE_A and TREE_B are the same tree.
@@ -61,10 +64,10 @@ def compare(a, b, bound, higher):
     return qa, qb, ratio, wins, verdict
 
 
-def run_once(tree, target, args, seconds, seed):
+def run_once(tree, target, args, workload, seconds, seed):
     """(metric values, failed checks) of one run, or None without a result."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
-           "--workload", args.workload, "--seed", str(seed),
+           "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
     if args.smoke:
         cmd.append("--smoke")
@@ -73,8 +76,8 @@ def run_once(tree, target, args, seconds, seed):
     try:
         result = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
     except ValueError:
-        print("ab: %s seed %d exited %d without a result line" % (tree, seed,
-                                                                   proc.returncode))
+        print("ab: %s %s seed %d exited %d without a result line" % (
+            tree, workload, seed, proc.returncode))
         return None
     return {k: v["value"] for k, v in result["metrics"].items()}, result["failed"]
 
@@ -85,48 +88,58 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a")
     parser.add_argument("tree_b")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help='a workload, a comma-separated list, or "all"')
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--smoke", action="store_true", help="tiny scale (the CI check)")
     args = parser.parse_args()
     trees = (os.path.abspath(args.tree_a), os.path.abspath(args.tree_b))
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if args.workload == "all" else args.workload.split(",")
+    for w in workloads:
+        if w not in known:
+            parser.error("unknown workload %r (BENCHMARK.json has %s)" % (w, ", ".join(known)))
 
-    runs = ([], [])
-    failed = [0, 0]
+    runs = {w: ([], []) for w in workloads}
+    failed = {w: [0, 0] for w in workloads}
     complete = True
     for pair in range(args.pairs):
         seed = 1 + pair
         order = (0, 1) if pair % 2 == 0 else (1, 0)
-        got = [None, None]
-        for side in order:
-            got[side] = run_once(trees[side], TARGETS[side], args, spec["run_seconds"], seed)
-        if None in got:
+        for w in workloads:
+            got = [None, None]
+            for side in order:
+                got[side] = run_once(trees[side], TARGETS[side], args, w,
+                                     spec["run_seconds"], seed)
+            if None in got:
+                complete = False
+                continue
+            for side in (0, 1):
+                runs[w][side].append(got[side][0])
+                failed[w][side] += got[side][1]
+            print("ab: %s seed %d (%s first): records_per_s A %.4g  B %.4g" % (
+                w, seed, "AB"[order[0]], got[0][0]["records_per_s"],
+                got[1][0]["records_per_s"]), flush=True)
+
+    for w in workloads:
+        n = len(runs[w][0])
+        if n == 0:
+            print("\nab: %s: no complete pair" % w)
             complete = False
             continue
-        for side in (0, 1):
-            runs[side].append(got[side][0])
-            failed[side] += got[side][1]
-        print("ab: seed %d (%s first): records_per_s A %.4g  B %.4g" % (
-            seed, "AB"[order[0]], got[0][0]["records_per_s"], got[1][0]["records_per_s"]),
-            flush=True)
-
-    n = len(runs[0])
-    if n == 0:
-        print("ab: no complete pair")
-        return 1
-    print("\nab: %s, %d pairs, A = %s, B = %s, failed checks A %d B %d" % (
-        args.workload, n, trees[0], trees[1], failed[0], failed[1]))
-    print("%-14s %-30s %-30s %7s %7s  %s" % ("metric", "A median [q1, q3]",
-                                             "B median [q1, q3]", "B/A", "B wins",
-                                             "verdict"))
-    for m in spec["end_to_end"]:
-        name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
-        a = [r[name] for r in runs[0]]
-        b = [r[name] for r in runs[1]]
-        qa, qb, ratio, wins, verdict = compare(a, b, bound, higher)
-        print("%-14s %-30s %-30s %7.3f %4d/%-2d  %s" % (
-            name, "%.4g [%.4g, %.4g]" % (qa[1], qa[0], qa[2]),
-            "%.4g [%.4g, %.4g]" % (qb[1], qb[0], qb[2]), ratio, wins, n, verdict))
+        print("\nab: %s, %d pairs, A = %s, B = %s, failed checks A %d B %d" % (
+            w, n, trees[0], trees[1], failed[w][0], failed[w][1]))
+        print("%-14s %-30s %-30s %7s %7s  %s" % ("metric", "A median [q1, q3]",
+                                                 "B median [q1, q3]", "B/A", "B wins",
+                                                 "verdict"))
+        for m in spec["end_to_end"]:
+            name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
+            a = [r[name] for r in runs[w][0]]
+            b = [r[name] for r in runs[w][1]]
+            qa, qb, ratio, wins, verdict = compare(a, b, bound, higher)
+            print("%-14s %-30s %-30s %7.3f %4d/%-2d  %s" % (
+                name, "%.4g [%.4g, %.4g]" % (qa[1], qa[0], qa[2]),
+                "%.4g [%.4g, %.4g]" % (qb[1], qb[0], qb[2]), ratio, wins, n, verdict))
     return 0 if complete else 1
 
 
