@@ -29,7 +29,6 @@
 #include "des/simulator.h"
 #include "driver/sustainable.h"
 #include "engine/columnar.h"
-#include "engine/flat_hash.h"
 #include "engine/group_hash.h"
 #include "engine/partition.h"
 #include "engine/window_state.h"
@@ -213,10 +212,74 @@ double ShuffleCombineRecordsPerSec() {
   });
 }
 
-// Group-probing hash kernels (engine/group_hash.h): the batched
-// GroupedKeyMap probe vs the scalar FlatKeyMap probe it replaced on every
-// keyed hot path, folding the same uniform key stream (find-or-insert +
-// value increment — the combiner-shaped access pattern). Two regimes:
+// The scalar flat probe GroupedKeyMap replaced on every keyed hot path,
+// kept here only as the group_probe_* baseline: interleaved uint64 key /
+// value slots, Fibonacci bucket (top bits of key * 2^64/phi), linear
+// probing, grown at 3/4 load, the all-ones key (the empty-slot sentinel)
+// stored out of line.
+class FlatProbeMap {
+ public:
+  size_t size() const { return size_ + (has_empty_key_ ? 1 : 0); }
+
+  uint64_t& FindOrInsert(uint64_t key, bool* inserted) {
+    if (key == kEmptyKey) [[unlikely]] {
+      *inserted = !has_empty_key_;
+      has_empty_key_ = true;
+      return empty_val_;
+    }
+    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) Grow();
+    for (size_t i = Bucket(key);; i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      if (s.key == key) {
+        *inserted = false;
+        return s.val;
+      }
+      if (s.key == kEmptyKey) {
+        s = Slot{key, 0};
+        ++size_;
+        *inserted = true;
+        return s.val;
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t key;
+    uint64_t val;
+  };
+  static constexpr uint64_t kEmptyKey = ~0ull;
+
+  size_t Bucket(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void Grow() {
+    const size_t cap = slots_.empty() ? 16 : slots_.size() * 2;
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(cap, Slot{kEmptyKey, 0});
+    mask_ = cap - 1;
+    shift_ = 64 - __builtin_ctzll(cap);
+    for (const Slot& s : old) {
+      if (s.key == kEmptyKey) continue;
+      size_t i = Bucket(s.key);
+      while (slots_[i].key != kEmptyKey) i = (i + 1) & mask_;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;  // entries excluding the out-of-line empty key
+  size_t mask_ = 0;
+  int shift_ = 64;
+  bool has_empty_key_ = false;
+  uint64_t empty_val_ = 0;
+};
+
+// Group-probing hash kernels (engine/group_hash.h): GroupedKeyMap vs the
+// scalar flat probe above, folding the same uniform key stream
+// (find-or-insert + value increment — the combiner-shaped access
+// pattern). Two regimes:
 //   * cache-cold: millions of distinct scrambled keys — the table runs to
 //     hundreds of MB so home probes miss even a large server L3 (the key
 //     space is sized for 256MB+ tables; 1M keys would sit entirely inside
@@ -234,7 +297,7 @@ double ShuffleCombineRecordsPerSec() {
 // (ProbeStats, in groups probed past home) so tag/load-factor clustering
 // regressions are visible directly, not just as throughput loss.
 struct GroupProbeResult {
-  double flat_per_s = 0;           // scalar FlatKeyMap loop
+  double flat_per_s = 0;           // FlatProbeMap loop
   double grouped_scalar_per_s = 0; // GroupedKeyMap, one FindOrInsert per key
   double grouped_batch_per_s = 0;  // GroupedKeyMap::FindOrInsertBatch
   engine::GroupedKeyMap<uint64_t>::ProbeStats stats;
@@ -251,7 +314,7 @@ GroupProbeResult GroupProbeBench(uint64_t key_space, size_t n_ops,
   const size_t run = 4096;  // the batched data plane's link-transfer shape
   GroupProbeResult r;
   r.flat_per_s = BestOf([&] {
-    engine::FlatKeyMap<uint64_t> map;
+    FlatProbeMap map;
     const double t0 = Now();
     for (const uint64_t k : keys) {
       bool inserted;

@@ -40,16 +40,6 @@ void RadixPartition(const uint64_t* keys, size_t n,
   for (size_t i = n; i-- > 0;) index[--offsets[dests[i]]] = static_cast<uint32_t>(i);
 }
 
-void ScalarPartition(const uint64_t* keys, size_t n, int parts,
-                     std::vector<std::vector<uint32_t>>* dest_lists) {
-  dest_lists->resize(static_cast<size_t>(parts));
-  for (auto& list : *dest_lists) list.clear();
-  for (size_t i = 0; i < n; ++i) {
-    (*dest_lists)[static_cast<size_t>(PartitionForKey(keys[i], parts))]
-        .push_back(static_cast<uint32_t>(i));
-  }
-}
-
 void GatherRows(const Record* recs, const PartitionPlan& plan,
                 std::vector<Record>* rows) {
   const size_t n = plan.index.size();
@@ -59,12 +49,13 @@ void GatherRows(const Record* recs, const PartitionPlan& plan,
   for (size_t i = 0; i < n; ++i) out[i] = recs[index[i]];
 }
 
-void ShuffleCombiner::FoldRecord(const Record& r, uint32_t& head,
-                                 bool inserted) {
+void ShuffleCombiner::FoldRecord(const Record& r) {
+  bool inserted;
+  uint32_t& head = head_.FindOrInsert(r.key, &inserted);
+  if (inserted) head = kNone;
   const int64_t bucket = FloorDiv(r.event_time, bucket_width_);
   // The exact contribution WindowKeyAgg::Merge would add for r.
   const double contribution = r.preagg ? r.value : r.value * r.weight;
-  if (inserted) head = kNone;
   uint32_t gi = head;
   while (gi != kNone && groups_[gi].bucket != bucket) {
     gi = groups_[gi].next;
@@ -89,21 +80,12 @@ void ShuffleCombiner::FoldRecord(const Record& r, uint32_t& head,
 }
 
 void ShuffleCombiner::Add(const Record* recs, size_t n) {
-  key_lane_.resize(n);
-  for (size_t i = 0; i < n; ++i) key_lane_[i] = recs[i].key;
-  head_.FindOrInsertBatch(
-      key_lane_.data(), n,
-      [&](size_t i, uint32_t& head, bool ins) { FoldRecord(recs[i], head, ins); });
+  for (size_t i = 0; i < n; ++i) FoldRecord(recs[i]);
 }
 
 void ShuffleCombiner::AddPermuted(const Record* recs, const uint32_t* idx,
                                   size_t n) {
-  key_lane_.resize(n);
-  for (size_t i = 0; i < n; ++i) key_lane_[i] = recs[idx[i]].key;
-  head_.FindOrInsertBatch(key_lane_.data(), n, [&](size_t i, uint32_t& head,
-                                                   bool ins) {
-    FoldRecord(recs[idx[i]], head, ins);
-  });
+  for (size_t i = 0; i < n; ++i) FoldRecord(recs[idx[i]]);
 }
 
 size_t ShuffleCombiner::Emit(RecordBatch* out) const {

@@ -7,10 +7,9 @@
 // scatter, and the wire transfer — becomes the bottleneck. These kernels
 // make that path batch-oriented:
 //
-//   ColumnarBatch   gathers the shuffle-relevant Record fields into
-//                   separate contiguous lanes (keys / event times /
-//                   weights) so the per-batch sweeps below run as tight,
-//                   vectorizable loops instead of striding 48-byte rows.
+//   ColumnarBatch   gathers a run's keys into one contiguous lane so the
+//                   partition sweep below runs as a tight, vectorizable
+//                   loop instead of striding 48-byte rows.
 //   RadixPartition  assigns every record of a batch to its destination in
 //                   one histogram + prefix-sum + scatter pass, producing a
 //                   destination-major permutation that preserves arrival
@@ -48,35 +47,11 @@
 
 namespace sdps::engine {
 
-/// Struct-of-arrays view of a record run: the three lanes the shuffle
-/// kernels sweep. Load() gathers from row-major records; the lanes stay
-/// valid until the next Load/Clear.
+/// Key lane of a record run — all the partition pass reads. LoadKeys
+/// gathers it from row-major records; it stays valid until the next load.
 struct ColumnarBatch {
   std::vector<uint64_t> keys;
-  std::vector<SimTime> event_times;
-  std::vector<uint32_t> weights;
 
-  size_t size() const { return keys.size(); }
-
-  void Clear() {
-    keys.clear();
-    event_times.clear();
-    weights.clear();
-  }
-
-  void Load(const Record* recs, size_t n) {
-    keys.resize(n);
-    event_times.resize(n);
-    weights.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      keys[i] = recs[i].key;
-      event_times[i] = recs[i].event_time;
-      weights[i] = recs[i].weight;
-    }
-  }
-
-  /// Key lane only — all the partition pass reads. Skipping the other
-  /// lanes roughly halves the gather cost on the shuffle hot path.
   void LoadKeys(const Record* recs, size_t n) {
     keys.resize(n);
     for (size_t i = 0; i < n; ++i) keys[i] = recs[i].key;
@@ -105,14 +80,6 @@ struct PartitionPlan {
 void RadixPartition(const uint64_t* keys, size_t n,
                     const Partitioner& partitioner, PartitionPlan* plan);
 
-/// The scalar reference loop the radix kernel replaces: per-record
-/// PartitionForKey (64-bit divide included) appending into per-destination
-/// index lists. Kept for the parity test and as the denominator of the
-/// shuffle_radix_speedup perf gate. Destination lists are cleared (their
-/// capacity retained) on entry.
-void ScalarPartition(const uint64_t* keys, size_t n, int parts,
-                     std::vector<std::vector<uint32_t>>* dest_lists);
-
 /// Materializes the plan's destination-major permutation into one flat
 /// buffer: *rows = recs[index[0]], recs[index[1]], ... — partition p's
 /// records land at [offsets[p], offsets[p+1]) in their arrival order. One
@@ -133,27 +100,22 @@ class ShuffleCombiner {
     SDPS_CHECK_GT(bucket_width, 0);
   }
 
-  SimTime bucket_width() const { return bucket_width_; }
-
   /// Drops accumulated groups, keeping capacity.
   void Reset() {
     head_.Clear();
     groups_.clear();
   }
 
-  /// Folds recs[0..n) into the current groups. Accepts pre-aggregated
-  /// inputs (tree combine): their partial sums fold in directly. The key
-  /// probes run through GroupedKeyMap::FindOrInsertBatch, which resolves
-  /// keys strictly in input order — fold order matches the per-record
-  /// loop exactly.
+  /// Folds recs[0..n) into the current groups, in input order. Accepts
+  /// pre-aggregated inputs (tree combine): their partial sums fold in
+  /// directly.
   void Add(const Record* recs, size_t n);
 
   /// Single-record fold — for callers feeding records one at a time.
-  void Add(const Record& rec) { Add(&rec, 1); }
+  void Add(const Record& rec) { FoldRecord(rec); }
 
   /// Folds recs[idx[0..n)] in index order — the PartitionPlan-run shape
   /// (Spark's map-side combine walks one destination's permuted indices).
-  /// Equivalent to n single-record Adds but with the batched key probe.
   void AddPermuted(const Record* recs, const uint32_t* idx, size_t n);
 
   /// Appends one combined record per group to *out, in the order the
@@ -182,14 +144,13 @@ class ShuffleCombiner {
     Record rec;
   };
 
-  /// The per-record fold body, run once per record (in input order) with
-  /// the key's resolved chain-head slot.
-  void FoldRecord(const Record& r, uint32_t& head, bool inserted);
+  /// Folds one record into its (key, bucket) group: one key probe, then a
+  /// walk of the key's group chain.
+  void FoldRecord(const Record& r);
 
   SimTime bucket_width_;
-  GroupedKeyMap<uint32_t> head_;    // key -> head of its group chain
+  GroupedKeyMap<uint32_t> head_;  // key -> head of its group chain
   std::vector<Group> groups_;
-  std::vector<uint64_t> key_lane_;  // scratch for the batched probe
 };
 
 /// Tree-combine step for the Spark model's aggregate: pairwise-combines

@@ -1,12 +1,7 @@
-// Group-probing (Swiss-table-style) hash map for the keyed hot paths.
-//
-// FlatKeyMap (engine/flat_hash.h) spends its time in one place at shuffle
-// cardinalities: the dependent cache miss of the first slot probe. Every
-// ShuffleCombiner fold and window-state Add issues one FindOrInsert whose
-// slot load cannot start until the key's hash is known and whose *next*
-// record cannot start until this one resolved — a serial chain of DRAM
-// round trips at 2M keys. GroupedKeyMap restructures the table so probes
-// are wide and batchable:
+// Group-probing (Swiss-table-style) hash map: the one keyed map behind
+// every keyed hot path (the three window states, the join build/probe and
+// the ShuffleCombiner fold). Each caller issues one FindOrInsert or Find
+// per record, in input order.
 //
 //   * A separate 1-byte control-tag array holds a 7-bit hash fragment per
 //     slot (0x80 = empty). One 16-byte load + compare sweeps a whole
@@ -21,21 +16,15 @@
 //     key lands in — and therefore the table layout and ForEach order —
 //     is backend-independent. tests/engine/group_hash_test.cc asserts the
 //     native and SWAR backends produce byte-identical iteration sequences.
-//   * FindOrInsertBatch pipelines a run of keys: hashes are computed a
-//     lookahead window ahead and their home ctrl/slot lines software-
-//     prefetched while the current key resolves. Keys resolve strictly in
-//     input order (a duplicate later in the batch finds the entry its
-//     earlier occurrence inserted), so fold order — and every output byte
-//     downstream — matches the equivalent serial FindOrInsert loop.
 //
-// Determinism: like FlatKeyMap, iteration (ForEach) walks slots in table
-// order. Growth triggers purely on the distinct-key count (7/8 load
-// factor) and rehash re-inserts in table order, so the layout is a pure
-// function of the sequence of distinct-key insertions — identical between
-// the scalar and batched APIs and across probe backends. No keyed hot
-// path lets table order reach an output byte anyway (window outputs are
-// sorted, combiner groups are emitted in first-appearance order), but the
-// property keeps ProbeStats and any future ForEach user reproducible.
+// Determinism: iteration (ForEach) walks slots in table order. Growth
+// triggers purely on the distinct-key count (7/8 load factor) and rehash
+// re-inserts in table order, so the layout is a pure function of the
+// sequence of distinct-key insertions — identical across probe backends.
+// No keyed hot path lets table order reach an output byte anyway (window
+// outputs are sorted, combiner groups are emitted in first-appearance
+// order), but the property keeps ProbeStats and any future ForEach user
+// reproducible.
 //
 // The map is insert-only (no erase), keys are uint64, and the all-ones
 // key needs no out-of-line special case: emptiness lives in the control
@@ -171,7 +160,7 @@ using GroupNative = GroupSwar;
 // -- The map -----------------------------------------------------------------
 
 /// Insert-only open-addressing map from uint64 keys to V with 16-wide
-/// group probing. API mirrors FlatKeyMap plus the batched entry points.
+/// group probing.
 /// `Group` selects the probe backend; leave it defaulted outside tests.
 template <typename V, typename Group = GroupNative>
 class GroupedKeyMap {
@@ -191,32 +180,15 @@ class GroupedKeyMap {
     return slots_[ProbeOrInsert(key, Mix(key), inserted)].val;
   }
 
-  /// Batched find-or-insert: resolves keys[0..n) strictly in input order,
-  /// invoking fn(i, value, inserted) for each as it resolves, while the
-  /// hash + home-group prefetch for keys a lookahead window ahead is
-  /// already in flight. Mutations performed by fn on the value happen in
-  /// input order — identical fold order (and output bytes) to n serial
-  /// FindOrInsert calls. fn must not touch this map.
+  /// Find-or-insert over keys[0..n) in input order: fn(i, value,
+  /// inserted) runs for each key as it resolves, so fold order (and every
+  /// output byte downstream) matches n serial FindOrInsert calls. fn must
+  /// not touch this map.
   template <typename Fn>
   void FindOrInsertBatch(const uint64_t* keys, size_t n, Fn&& fn) {
-    constexpr size_t kAhead = 12;
-    uint64_t mixed[kAhead];
-    const size_t primed = n < kAhead ? n : kAhead;
-    for (size_t i = 0; i < primed; ++i) {
-      mixed[i] = Mix(keys[i]);
-      PrefetchHome(mixed[i]);
-    }
     for (size_t i = 0; i < n; ++i) {
-      // Pull this key's hash out of the ring before the ring slot is
-      // refilled with the hash of the key kAhead positions ahead.
-      const uint64_t cur = mixed[i % kAhead];
-      if (i + kAhead < n) {
-        const uint64_t m = Mix(keys[i + kAhead]);
-        mixed[i % kAhead] = m;
-        PrefetchHome(m);
-      }
       bool inserted;
-      const size_t slot = ProbeOrInsert(keys[i], cur, &inserted);
+      const size_t slot = ProbeOrInsert(keys[i], Mix(keys[i]), &inserted);
       fn(i, slots_[slot].val, inserted);
     }
   }
@@ -231,33 +203,6 @@ class GroupedKeyMap {
     return const_cast<GroupedKeyMap*>(this)->Find(key);
   }
 
-  /// Batched find: fn(i, V* or nullptr) in input order, with the same
-  /// lookahead prefetch pipeline as FindOrInsertBatch.
-  template <typename Fn>
-  void FindBatch(const uint64_t* keys, size_t n, Fn&& fn) {
-    constexpr size_t kAhead = 12;
-    uint64_t mixed[kAhead];
-    const size_t primed = n < kAhead ? n : kAhead;
-    for (size_t i = 0; i < primed; ++i) {
-      mixed[i] = Mix(keys[i]);
-      PrefetchHome(mixed[i]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t cur = mixed[i % kAhead];
-      if (i + kAhead < n) {
-        const uint64_t m = Mix(keys[i + kAhead]);
-        mixed[i % kAhead] = m;
-        PrefetchHome(m);
-      }
-      if (capacity_ == 0) {
-        fn(i, static_cast<V*>(nullptr));
-        continue;
-      }
-      const size_t slot = ProbeFind(keys[i], cur);
-      fn(i, slot == kNotFound ? nullptr : &slots_[slot].val);
-    }
-  }
-
   /// Drops all entries but keeps the table's capacity (arena reuse).
   void Clear() {
     if (capacity_ != 0) {
@@ -265,12 +210,6 @@ class GroupedKeyMap {
     }
     size_ = 0;
     growth_left_ = MaxSizeFor(capacity_);
-  }
-
-  /// Grows (if needed) so that `n` entries fit without a rehash. Existing
-  /// value references are invalidated if growth occurs.
-  void Reserve(size_t n) {
-    while (MaxSizeFor(capacity_) < n) Grow();
   }
 
   /// Visits every (key, value) pair in table order.
@@ -282,10 +221,10 @@ class GroupedKeyMap {
   }
 
   /// Probe-length distribution over the current entries, in GROUPS probed
-  /// (0 = the key's home group). Same role as FlatKeyMap::ProbeStats:
-  /// clustering from a tag/hash regression blows these up long before
-  /// throughput benches notice. Exported by perf_kernel and gated by the
-  /// group_probe_* ceilings in BENCH_kernel.json.
+  /// (0 = the key's home group): clustering from a tag/hash regression
+  /// blows these up long before throughput benches notice. Exported by
+  /// perf_kernel and gated by the group_probe_* ceilings in
+  /// BENCH_kernel.json.
   struct ProbeStats {
     size_t capacity = 0;  // slot count
     size_t entries = 0;
@@ -329,9 +268,9 @@ class GroupedKeyMap {
                 "masks with group_mask_ and the triangular probe sequence "
                 "only covers all groups for pow2 group counts");
 
-  /// Fibonacci mix, shared with FlatKeyMap: one multiply, top bits are the
-  /// well-distributed ones. The 7-bit tag and the group index are taken
-  /// from disjoint high bit ranges.
+  /// Fibonacci mix: one multiply, top bits are the well-distributed
+  /// ones. The 7-bit tag and the group index are taken from disjoint high
+  /// bit ranges.
   static uint64_t Mix(uint64_t key) { return key * 0x9E3779B97F4A7C15ull; }
   static uint8_t TagOf(uint64_t mixed) {
     return static_cast<uint8_t>(mixed >> 57);  // top 7 bits; high bit clear
@@ -341,13 +280,6 @@ class GroupedKeyMap {
   }
 
   static size_t MaxSizeFor(size_t capacity) { return capacity / 8 * 7; }
-
-  void PrefetchHome(uint64_t mixed) const {
-    if (capacity_ == 0) return;
-    const size_t base = HomeGroup(mixed) * kGroupWidth;
-    __builtin_prefetch(ctrl_.data() + base);
-    __builtin_prefetch(slots_.data() + base);
-  }
 
   /// Probes for `key`; inserts into the first empty slot of the first
   /// non-full group on miss (growing first if at the load limit). Returns

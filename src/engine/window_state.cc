@@ -79,45 +79,13 @@ AddResult AggWindowState::Add(const Record& rec) {
       if (w < min_unfired_window_) {
         result.late_tuples += rec.weight;
       } else {
-        MergeIntoWindow(rec, w, &result);
+        MergeIntoRow(rec, ResolveRow(rec.key), w, &result);
       }
     }
     return result;
   }
   FoldLanes(rec, ResolveRow(rec.key), first, last, &result);
   return result;
-}
-
-AddResult AggWindowState::AddBatch(const Record* recs, size_t n,
-                                   AddResult* per_record,
-                                   int64_t* state_bytes_after) {
-  AddResult total;
-  scratch_keys_.resize(n);
-  for (size_t i = 0; i < n; ++i) scratch_keys_[i] = recs[i].key;
-  key_rows_.FindOrInsertBatch(
-      scratch_keys_.data(), n, [&](size_t i, uint32_t& slot, bool inserted) {
-        if (inserted) [[unlikely]] slot = NewRow(recs[i].key);
-        const uint32_t row = slot;
-        const Record& rec = recs[i];
-        AddResult result;
-        const int64_t last = LastWindowCached(rec.event_time);
-        const int64_t first = last - overlap_ + 1;
-        if (first < min_unfired_window_) [[unlikely]] {
-          for (int64_t w = first; w <= last; ++w) {
-            if (w < min_unfired_window_) {
-              result.late_tuples += rec.weight;
-            } else {
-              MergeIntoRow(rec, row, w, &result);
-            }
-          }
-        } else {
-          FoldLanes(rec, row, first, last, &result);
-        }
-        if (per_record != nullptr) per_record[i] = result;
-        if (state_bytes_after != nullptr) state_bytes_after[i] = state_bytes();
-        total.Accumulate(result);
-      });
-  return total;
 }
 
 uint32_t AggWindowState::NewRow(uint64_t key) {
@@ -198,10 +166,6 @@ void AggWindowState::MergeIntoRow(const Record& rec, uint32_t row, int64_t w,
   ++result->window_updates;
 }
 
-void AggWindowState::MergeIntoWindow(const Record& rec, int64_t w, AddResult* result) {
-  MergeIntoRow(rec, ResolveRow(rec.key), w, result);
-}
-
 std::vector<OutputRecord> AggWindowState::FireUpTo(SimTime watermark) {
   std::vector<OutputRecord> out;
   size_t fired = 0;
@@ -267,22 +231,16 @@ BufferedWindowState::Fired BufferedWindowState::FireUpTo(SimTime watermark) {
     const SimTime window_end = assigner_.WindowEnd(win.id);
     if (window_end > watermark) break;
     min_unfired_window_ = std::max(min_unfired_window_, win.id + 1);
-    // Bulk evaluation: scan every buffered record of the window, with the
-    // per-key probes batched (this burst is the Storm model's CPU spike;
-    // at shuffle cardinalities it is probe-bound exactly like the
-    // combiner fold).
+    // Bulk evaluation: scan every buffered record of the window, one key
+    // probe each (this burst is the Storm model's CPU spike; at shuffle
+    // cardinalities it is probe-bound exactly like the combiner fold).
     fire_aggs_.Clear();
     uint64_t window_tuples = 0;
-    const size_t nrec = win.records.size();
-    scratch_keys_.resize(nrec);
-    for (size_t i = 0; i < nrec; ++i) {
-      scratch_keys_[i] = win.records[i].key;
-      window_tuples += PhysicalTuples(win.records[i]);  // Add's buffer charge
+    for (const Record& r : win.records) {
+      bool inserted;
+      fire_aggs_.FindOrInsert(r.key, &inserted).Merge(r);
+      window_tuples += PhysicalTuples(r);  // Add's buffer charge
     }
-    fire_aggs_.FindOrInsertBatch(scratch_keys_.data(), nrec,
-                                 [&](size_t i, WindowKeyAgg& agg, bool) {
-                                   agg.Merge(win.records[i]);
-                                 });
     fired.tuples_scanned += window_tuples;
     fire_aggs_.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
       OutputRecord rec;
@@ -353,29 +311,23 @@ JoinWindowState::Fired JoinWindowState::FireUpTo(SimTime watermark) {
     build_.Clear();
     const size_t n_ads = side.ads.size();
     build_next_.resize(n_ads);
-    scratch_keys_.resize(n_ads);
-    for (size_t i = 0; i < n_ads; ++i) scratch_keys_[i] = side.ads[i].key;
-    build_.FindOrInsertBatch(
-        scratch_keys_.data(), n_ads,
-        [&](size_t i, AdChain& chain, bool inserted) {
-          fired.join_work += side.ads[i].weight;
-          build_next_[i] = kNil;
-          if (inserted) {
-            chain.head = static_cast<uint32_t>(i);
-          } else {
-            build_next_[chain.tail] = static_cast<uint32_t>(i);
-          }
-          chain.tail = static_cast<uint32_t>(i);
-        });
+    for (size_t i = 0; i < n_ads; ++i) {
+      bool inserted;
+      AdChain& chain = build_.FindOrInsert(side.ads[i].key, &inserted);
+      fired.join_work += side.ads[i].weight;
+      build_next_[i] = kNil;
+      if (inserted) {
+        chain.head = static_cast<uint32_t>(i);
+      } else {
+        build_next_[chain.tail] = static_cast<uint32_t>(i);
+      }
+      chain.tail = static_cast<uint32_t>(i);
+    }
     fired.naive_pairs += side.purchase_tuples * side.ad_tuples;
-    const size_t n_purch = side.purchases.size();
-    scratch_keys_.resize(n_purch);
-    for (size_t i = 0; i < n_purch; ++i) scratch_keys_[i] = side.purchases[i].key;
-    build_.FindBatch(scratch_keys_.data(), n_purch, [&](size_t pi,
-                                                        const AdChain* chain) {
-      const Record& p = side.purchases[pi];
+    for (const Record& p : side.purchases) {
       fired.join_work += p.weight;
-      if (chain == nullptr) return;
+      const AdChain* chain = build_.Find(p.key);
+      if (chain == nullptr) continue;
       for (uint32_t i = chain->head; i != kNil; i = build_next_[i]) {
         const Record& ad = side.ads[i];
         OutputRecord rec;
@@ -390,7 +342,7 @@ JoinWindowState::Fired JoinWindowState::FireUpTo(SimTime watermark) {
         fired.outputs.push_back(rec);
         fired.join_work += p.weight;
       }
-    });
+    }
     fired.tuples_evicted += side.purchase_tuples + side.ad_tuples;
     buffered_tuples_ -= side.purchase_tuples + side.ad_tuples;
     side.Recycle();

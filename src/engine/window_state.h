@@ -20,8 +20,8 @@
 // ids (sliding windows overlap by size/slide, so there are only a handful
 // open at once — ordered lookup is a short scan from the back, not a
 // red-black tree walk), and per-window key state lives in flat
-// open-addressing tables (engine::GroupedKeyMap, 16-wide group probing
-// with batched prefetching ingest) instead of node-based unordered_maps.
+// open-addressing tables (engine::GroupedKeyMap, 16-wide group probing,
+// one probe per record) instead of node-based unordered_maps.
 // Fired windows return their tables/buffers to a scratch arena so
 // steady-state firing never touches the allocator.
 //
@@ -136,21 +136,6 @@ class AggWindowState {
   /// Folds the record into every still-open window it belongs to.
   AddResult Add(const Record& rec);
 
-  /// Folds recs[0..n) in order with the key probes batched through
-  /// GroupedKeyMap::FindOrInsertBatch (hash pipelining + home-group
-  /// prefetch). State mutations are identical to n serial Adds, with one
-  /// provably unobservable exception: a record whose every window already
-  /// fired still materializes its key's (empty) lane row here, which the
-  /// serial path skips — entries_, state_bytes() and all outputs are
-  /// unchanged (FireUpTo only reads claimed lanes). When non-null,
-  /// `per_record` receives each record's own AddResult and
-  /// `state_bytes_after` the state_bytes() value after that record's
-  /// fold — what a serial Add-then-measure loop would have observed (the
-  /// Flink model's spill-slowdown cost depends on it per record).
-  AddResult AddBatch(const Record* recs, size_t n,
-                     AddResult* per_record = nullptr,
-                     int64_t* state_bytes_after = nullptr);
-
   /// Fires all windows with end <= watermark, oldest first; outputs one
   /// record per (window, key), then drops the window state.
   std::vector<OutputRecord> FireUpTo(SimTime watermark);
@@ -191,16 +176,14 @@ class AggWindowState {
   /// Doubles the lane ring until every open window (and `incoming`) maps
   /// to a distinct lane, migrating all rows.
   void GrowRing(int64_t incoming);
-  /// Folds rec's windows [first, last] into its resolved lane row — the
-  /// shared body of Add and AddBatch (row indices survive GrowRing).
+  /// Folds rec's windows [first, last] into its resolved lane row (row
+  /// indices survive GrowRing).
   void FoldLanes(const Record& rec, uint32_t row, int64_t first, int64_t last,
                  AddResult* result);
   /// Single-window merge into a resolved row (late-path and ring-conflict
   /// slow path).
   void MergeIntoRow(const Record& rec, uint32_t row, int64_t w,
                     AddResult* result);
-  /// Out-of-line slow path for records with some windows already fired.
-  void MergeIntoWindow(const Record& rec, int64_t w, AddResult* result);
 
   WindowAssigner assigner_;
   int64_t overlap_;                 // windows per record
@@ -210,7 +193,6 @@ class AggWindowState {
   std::vector<uint64_t> row_keys_;  // row index -> key
   std::vector<Lane> lanes_;         // row-major, ring_size_ lanes per row
   std::vector<int64_t> open_ids_;   // sorted ascending, unfired windows
-  std::vector<uint64_t> scratch_keys_;  // batched-probe key lane
   int64_t entries_ = 0;
   int64_t min_unfired_window_ = std::numeric_limits<int64_t>::min();
   // One-entry window-assignment cache: event times arrive nearly
@@ -220,14 +202,6 @@ class AggWindowState {
   SimTime cached_slide_end_ = 0;
   int64_t cached_last_window_ = 0;
 };
-
-/// AggWindowState ingest routes through the member AddBatch (batched key
-/// probe); a non-template overload outranks the generic serial loop above
-/// at every engine::AddBatch call site.
-inline AddResult AddBatch(AggWindowState& state, const Record* recs, size_t n,
-                          AddResult* per_record = nullptr) {
-  return state.AddBatch(recs, n, per_record);
-}
 
 /// Full-record buffering per window with bulk aggregation at fire time
 /// (Storm's window bolt keeps the raw tuple buffer).
@@ -269,7 +243,6 @@ class BufferedWindowState {
   uint64_t buffered_tuples_ = 0;
   int64_t min_unfired_window_ = std::numeric_limits<int64_t>::min();
   std::vector<int64_t> scratch_windows_;
-  std::vector<uint64_t> scratch_keys_;  // batched fire-time probe lane
 };
 
 /// Two-sided window buffer with hash-join evaluation at fire time
@@ -345,7 +318,6 @@ class JoinWindowState {
   uint64_t buffered_tuples_ = 0;
   int64_t min_unfired_window_ = std::numeric_limits<int64_t>::min();
   std::vector<int64_t> scratch_windows_;
-  std::vector<uint64_t> scratch_keys_;  // batched build/probe key lane
 };
 
 /// One Spark bucket: the records of one event-time bucket (deterministic

@@ -407,8 +407,8 @@ class FlinkSut : public driver::Sut {
   }
 
   /// Window task (aggregation): drains up to `batch_` queued messages per
-  /// resume and folds each consecutive run of valid records with one
-  /// AddBatch + one cpu UseBatch; the per-record completion times (service
+  /// resume and folds each consecutive run of valid records, record by
+  /// record, before one cpu UseBatch; the per-record completion times (service
   /// start + cost prefix sums) are the operator stamps. Barriers and
   /// watermarks are handled singly, in channel order, so fire/snapshot
   /// ordering relative to records is exact.
@@ -431,8 +431,6 @@ class FlinkSut : public driver::Sut {
     std::vector<Message> msgs;
     std::vector<SimTime> costs;
     std::vector<Record> run;
-    std::vector<engine::AddResult> added_run;
-    std::vector<int64_t> bytes_after;
     for (;;) {
       if (!co_await in.RecvMany(&msgs, batch_)) break;
       size_t i = 0;
@@ -442,30 +440,24 @@ class FlinkSut : public driver::Sut {
           continue;
         }
         if (msgs[i].kind == Message::Kind::kRecord) {
-          // Coalesce the run of consecutive valid records into one
-          // AddBatch (batched key probes). No co_await separates the
-          // folds; they depend only on record event times and on fired
-          // watermarks, which move only between runs. Each record's spill
-          // cost reads the state size measured right after its own fold.
+          // Fold the run of consecutive valid records. No co_await
+          // separates the folds; they depend only on record event times
+          // and on fired watermarks, which move only between runs. Each
+          // record's spill cost reads the state size measured right after
+          // its own fold.
           costs.clear();
           run.clear();
           int64_t alloc = 0;
           while (i < msgs.size() && msgs[i].kind == Message::Kind::kRecord &&
                  !(recovery_ && msgs[i].epoch < epoch_)) {
-            run.push_back(msgs[i].record);
+            const Record& rec = msgs[i].record;
             ++i;
-          }
-          added_run.resize(run.size());
-          bytes_after.resize(run.size());
-          state.AddBatch(run.data(), run.size(), added_run.data(),
-                         bytes_after.data());
-          for (size_t m = 0; m < run.size(); ++m) {
-            const Record& rec = run[m];
-            const engine::AddResult& added = added_run[m];
+            run.push_back(rec);
+            const engine::AddResult added = state.Add(rec);
             late_dropped_tuples_ += added.late_tuples;
             metrics_.records->Add(rec.weight);
             metrics_.late_dropped->Add(added.late_tuples);
-            const double slow = bytes_after[m] > spill_threshold_bytes_
+            const double slow = state.state_bytes() > spill_threshold_bytes_
                                     ? config_.spill_slowdown
                                     : 1.0;
             costs.push_back(CostUs(config_.agg_update_cost_us *

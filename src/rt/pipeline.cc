@@ -470,16 +470,10 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
         max_event = std::max(max_event, rec->event_time);
         ++records;
         tuples += rec->weight;
-        if (batch == 1) {
-          // Per-record path, byte-for-byte the pre-columnar fan-out (the
-          // Partitioner mask/reciprocal path equals PartitionForKey).
-          const int t = partitioner(rec->key);
-          open[static_cast<size_t>(t)].records.PushBack(*rec);
-          flush(t);
-        } else {
-          staging.PushBack(*rec);
-          if (staging.size() >= batch) scatter();
-        }
+        // Batch 1 is a staging batch of one: every record scatters and
+        // flushes as it arrives.
+        staging.PushBack(*rec);
+        if (staging.size() >= batch) scatter();
         if (schaos.armed()) {
           // Source straggle: throttle ingest to `factor` of wall time
           // (sources are unsupervised — slow, never dead).

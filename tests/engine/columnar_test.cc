@@ -1,6 +1,7 @@
 #include "engine/columnar.h"
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,7 +9,6 @@
 #include "common/random.h"
 #include "common/time_util.h"
 #include "engine/batch.h"
-#include "engine/flat_hash.h"
 #include "engine/partition.h"
 #include "engine/record.h"
 
@@ -23,6 +23,17 @@ std::vector<uint64_t> RandomKeys(size_t n, uint64_t space, uint64_t seed) {
 }
 
 // -- RadixPartition ----------------------------------------------------------
+
+// The scalar oracle for the radix kernel: per-record PartitionForKey
+// appending into per-destination index lists (cleared on entry).
+void ScalarPartition(const uint64_t* keys, size_t n, int parts,
+                     std::vector<std::vector<uint32_t>>* dest_lists) {
+  dest_lists->assign(static_cast<size_t>(parts), {});
+  for (size_t i = 0; i < n; ++i) {
+    (*dest_lists)[static_cast<size_t>(PartitionForKey(keys[i], parts))]
+        .push_back(static_cast<uint32_t>(i));
+  }
+}
 
 // The radix plan must reproduce the scalar per-record loop exactly: same
 // destination runs, same relative order within each run (stability).
@@ -112,31 +123,17 @@ TEST(RadixPartitionTest, GatherRowsMatchesScalarLists) {
 
 // -- ColumnarBatch -----------------------------------------------------------
 
-TEST(ColumnarBatchTest, LoadKeysMatchesFullLoad) {
-  Rng rng(5);
-  std::vector<Record> recs(100);
-  for (Record& r : recs) r.key = rng.NextBelow(1000);
-  ColumnarBatch full;
-  full.Load(recs.data(), recs.size());
-  ColumnarBatch lane;
-  lane.LoadKeys(recs.data(), recs.size());
-  EXPECT_EQ(lane.keys, full.keys);
-  EXPECT_EQ(lane.size(), recs.size());
-}
-
-TEST(ColumnarBatchTest, LoadGathersLanes) {
+TEST(ColumnarBatchTest, LoadKeysGathersKeyLane) {
   std::vector<Record> recs(3);
   recs[0] = {.event_time = Seconds(1), .key = 10, .value = 2.0, .weight = 3};
   recs[1] = {.event_time = Seconds(2), .key = 20, .value = 4.0, .weight = 1};
   recs[2] = {.event_time = Seconds(3), .key = 30, .value = 8.0, .weight = 7};
   ColumnarBatch cols;
-  cols.Load(recs.data(), recs.size());
-  ASSERT_EQ(cols.size(), 3u);
+  cols.LoadKeys(recs.data(), recs.size());
   EXPECT_EQ(cols.keys, (std::vector<uint64_t>{10, 20, 30}));
-  EXPECT_EQ(cols.event_times, (std::vector<SimTime>{Seconds(1), Seconds(2), Seconds(3)}));
-  EXPECT_EQ(cols.weights, (std::vector<uint32_t>{3, 1, 7}));
-  cols.Clear();
-  EXPECT_EQ(cols.size(), 0u);
+  // A shorter reload replaces the lane, not appends to it.
+  cols.LoadKeys(recs.data() + 1, 1);
+  EXPECT_EQ(cols.keys, (std::vector<uint64_t>{20}));
 }
 
 // -- ShuffleCombiner ---------------------------------------------------------
@@ -224,23 +221,15 @@ TEST(ShuffleCombinerTest, PartialsFoldToSameTotals) {
   EXPECT_LT(combined.size(), raw.size());
 
   const auto fold = [](const auto& recs, size_t n) {
-    FlatKeyMap<double> totals;
+    std::unordered_map<uint64_t, double> totals;
     for (size_t i = 0; i < n; ++i) {
       const Record& r = recs[i];
-      bool inserted;
-      totals.FindOrInsert(r.key, &inserted) +=
-          r.preagg ? r.value : r.value * r.weight;
+      totals[r.key] += r.preagg ? r.value : r.value * r.weight;
     }
     return totals;
   };
-  FlatKeyMap<double> want = fold(raw, raw.size());
-  FlatKeyMap<double> got = fold(combined, combined.size());
-  ASSERT_EQ(want.size(), got.size());
-  want.ForEach([&](uint64_t key, double value) {
-    const double* g = got.Find(key);
-    ASSERT_NE(g, nullptr) << "key " << key;
-    EXPECT_EQ(*g, value) << "key " << key;  // whole numbers: exact
-  });
+  // Whole numbers: the totals must match exactly.
+  EXPECT_EQ(fold(combined, combined.size()), fold(raw, raw.size()));
 }
 
 TEST(ShuffleCombinerTest, ResetDropsGroups) {

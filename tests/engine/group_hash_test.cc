@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "engine/flat_hash.h"
 
 namespace sdps::engine {
 namespace {
@@ -45,8 +44,9 @@ TEST(GroupedKeyMapTest, FindOrInsertDefaultConstructsOnceAndReportsInserted) {
 }
 
 TEST(GroupedKeyMapTest, SentinelKeyNeedsNoSpecialCase) {
-  // ~0ull is FlatKeyMap's empty-slot sentinel; here emptiness lives in the
-  // control byte, so the all-ones key must behave like any other.
+  // ~0ull is a flat table's usual empty-slot sentinel; here emptiness
+  // lives in the control byte, so the all-ones key must behave like any
+  // other.
   GroupedKeyMap<int> map;
   const uint64_t sentinel = ~0ull;
   EXPECT_EQ(map.Find(sentinel), nullptr);
@@ -87,11 +87,10 @@ TEST(GroupedKeyMapTest, ClearKeepsCapacityAndStaysUsable) {
 // -- Differential fuzz --------------------------------------------------------
 //
 // Seeded random insert/find streams run against GroupedKeyMap (native and
-// forced-SWAR backends), FlatKeyMap, and std::unordered_map. All four must
-// agree on every insertion flag, every lookup, and the final contents —
-// including the ~0ull sentinel key (out-of-line in FlatKeyMap, inline
-// here) and the grow-under-collision paths (key ranges chosen to pile
-// into shared home groups until several rehashes trigger).
+// forced-SWAR backends) and std::unordered_map. All three must agree on
+// every insertion flag, every lookup, and the final contents — including
+// the ~0ull key and the grow-under-collision paths (key ranges chosen to
+// pile into shared home groups until several rehashes trigger).
 
 struct FuzzCase {
   uint64_t seed;
@@ -106,7 +105,6 @@ TEST_P(GroupedKeyMapFuzz, AgreesWithFlatAndStdMaps) {
   Rng rng(c.seed);
   NativeMap native;
   SwarMap swar;
-  FlatKeyMap<uint64_t> flat;
   std::unordered_map<uint64_t, uint64_t> ref;
   for (int i = 0; i < c.ops; ++i) {
     // Bias toward inserts; sprinkle sentinel keys and high-bit keys (the
@@ -120,45 +118,35 @@ TEST_P(GroupedKeyMapFuzz, AgreesWithFlatAndStdMaps) {
       auto it = ref.find(key);
       uint64_t* nv = native.Find(key);
       uint64_t* sv = swar.Find(key);
-      uint64_t* fv = flat.Find(key);
       if (it == ref.end()) {
         EXPECT_EQ(nv, nullptr);
         EXPECT_EQ(sv, nullptr);
-        EXPECT_EQ(fv, nullptr);
       } else {
         ASSERT_NE(nv, nullptr);
         ASSERT_NE(sv, nullptr);
-        ASSERT_NE(fv, nullptr);
         EXPECT_EQ(*nv, it->second);
         EXPECT_EQ(*sv, it->second);
-        EXPECT_EQ(*fv, it->second);
       }
       continue;
     }
     const uint64_t delta = rng.NextBelow(1000) + 1;
-    bool ni = false, si = false, fi = false;
+    bool ni = false, si = false;
     native.FindOrInsert(key, &ni) += delta;
     swar.FindOrInsert(key, &si) += delta;
-    flat.FindOrInsert(key, &fi) += delta;
     const bool expect_inserted = ref.find(key) == ref.end();
     ref[key] += delta;
     EXPECT_EQ(ni, expect_inserted) << "native, op " << i << " key " << key;
     EXPECT_EQ(si, expect_inserted) << "swar, op " << i << " key " << key;
-    EXPECT_EQ(fi, expect_inserted) << "flat, op " << i << " key " << key;
   }
   ASSERT_EQ(native.size(), ref.size());
   ASSERT_EQ(swar.size(), ref.size());
-  ASSERT_EQ(flat.size(), ref.size());
   for (const auto& [key, value] : ref) {
     auto* nv = native.Find(key);
     auto* sv = swar.Find(key);
-    auto* fv = flat.Find(key);
     ASSERT_NE(nv, nullptr) << key;
     ASSERT_NE(sv, nullptr) << key;
-    ASSERT_NE(fv, nullptr) << key;
     EXPECT_EQ(*nv, value);
     EXPECT_EQ(*sv, value);
-    EXPECT_EQ(*fv, value);
   }
 }
 
@@ -210,7 +198,7 @@ TEST(GroupedKeyMapTest, BatchMatchesScalarIncludingDuplicatesInOneBatch) {
   }
   GroupedKeyMap<uint64_t> batched;
   std::vector<bool> batch_flags(keys.size());
-  // Uneven chunk sizes cross the lookahead-priming boundaries.
+  // Uneven chunk sizes, including one-key batches.
   size_t off = 0;
   const size_t chunks[] = {1, 3, 17, 4096, keys.size()};
   size_t ci = 0;
@@ -233,24 +221,7 @@ TEST(GroupedKeyMapTest, BatchMatchesScalarIncludingDuplicatesInOneBatch) {
   EXPECT_EQ(sseq, bseq);
 }
 
-TEST(GroupedKeyMapTest, FindBatchMatchesScalarFind) {
-  GroupedKeyMap<uint64_t> map;
-  for (uint64_t k = 0; k < 5000; k += 2) Upsert(map, k) = k + 1;
-  std::vector<uint64_t> probes;
-  Rng rng(21);
-  for (int i = 0; i < 10000; ++i) probes.push_back(rng.NextBelow(6000));
-  map.FindBatch(probes.data(), probes.size(), [&](size_t i, uint64_t* v) {
-    uint64_t* expect = map.Find(probes[i]);
-    EXPECT_EQ(v, expect) << "probe " << i;
-  });
-  // Empty-map FindBatch reports every key absent without probing.
-  GroupedKeyMap<uint64_t> empty;
-  empty.FindBatch(probes.data(), 16,
-                  [&](size_t, uint64_t* v) { EXPECT_EQ(v, nullptr); });
-}
-
-// Mirrors FlatKeyMapTest.MillionKeyProbeLengthsStayShort: the shuffle
-// regime's key shape must keep group-probe lengths short. The 16-wide
+// The shuffle regime's key shape must keep group-probe lengths short. The 16-wide
 // groups at 7/8 load should almost always hit the home group; clustering
 // from a tag or load-factor regression shows up here orders of magnitude
 // before it costs measurable throughput.
@@ -300,29 +271,21 @@ TEST(GroupedKeyMapTest, ScrambledMillionKeyProbeLengthsStayShort) {
   EXPECT_LE(st.max_probe, 64u);
 }
 
-// Pins the pow2 capacity law through the whole growth cascade, for both
-// map types: Bucket()/HomeGroup() mask with capacity-derived masks, so a
-// future non-pow2 growth policy would silently corrupt probing. (The
-// headers also carry static_asserts + an SDPS_CHECK in Grow.)
+// Pins the pow2 capacity law through the whole growth cascade:
+// HomeGroup() masks with a capacity-derived mask, so a future non-pow2
+// growth policy would silently corrupt probing. (The header also carries
+// a static_assert + an SDPS_CHECK in Grow.)
 TEST(GroupedKeyMapTest, CapacitiesStayPowersOfTwoAcrossGrowth) {
   GroupedKeyMap<int> grouped;
-  FlatKeyMap<int> flat;
-  size_t last_grouped = 0, last_flat = 0;
+  size_t last = 0;
   for (uint64_t k = 0; k < 200000; ++k) {
     Upsert(grouped, k) = 1;
-    Upsert(flat, k) = 1;
     const size_t gc = grouped.capacity();
-    const size_t fc = flat.capacity();
-    if (gc != last_grouped) {
+    if (gc != last) {
       EXPECT_EQ(gc & (gc - 1), 0u) << "grouped capacity " << gc;
       EXPECT_EQ(gc % kGroupWidth, 0u) << "grouped capacity " << gc;
       EXPECT_EQ(grouped.ComputeProbeStats().capacity, gc);
-      last_grouped = gc;
-    }
-    if (fc != last_flat) {
-      EXPECT_EQ(fc & (fc - 1), 0u) << "flat capacity " << fc;
-      EXPECT_EQ(flat.ComputeProbeStats().capacity, fc);
-      last_flat = fc;
+      last = gc;
     }
   }
 }

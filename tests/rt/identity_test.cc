@@ -88,12 +88,13 @@ DesRun RunDes(Engine engine, engine::QueryKind kind) {
   return run;
 }
 
-rt::RtResult RunRt(Engine engine, engine::QueryKind kind, int num_tasks) {
+rt::RtResult RunRt(Engine engine, engine::QueryKind kind, int num_tasks,
+                   int batch = 32) {
   rt::RtPipelineConfig config =
       workloads::MakeRealtime(engine, kind, 2, kRate, kDuration, kSeed);
   config.capture_outputs = true;
   config.num_tasks = num_tasks;
-  config.batch = 32;
+  config.batch = batch;
   config.pin_threads = false;  // CI runners may forbid affinity calls
   return rt::RunRtPipeline(config);
 }
@@ -140,9 +141,10 @@ void ExpectNear(double a, double b, uint64_t key, SimTime window_end) {
                          << " window_end=" << window_end;
 }
 
-void CheckAggIdentity(Engine engine) {
+void CheckAggIdentity(Engine engine, int batch = 32) {
   const DesRun des = RunDes(engine, engine::QueryKind::kAggregation);
-  const rt::RtResult rt = RunRt(engine, engine::QueryKind::kAggregation, 4);
+  const rt::RtResult rt =
+      RunRt(engine, engine::QueryKind::kAggregation, 4, batch);
   ASSERT_EQ(des.late_dropped, 0u) << "DES run dropped late tuples";
   ASSERT_EQ(rt.late_dropped_tuples, 0u) << "rt run dropped late tuples";
   ASSERT_GT(des.outputs.size(), 0u);
@@ -160,9 +162,9 @@ void CheckAggIdentity(Engine engine) {
   }
 }
 
-void CheckJoinIdentity(Engine engine) {
+void CheckJoinIdentity(Engine engine, int batch = 32) {
   const DesRun des = RunDes(engine, engine::QueryKind::kJoin);
-  const rt::RtResult rt = RunRt(engine, engine::QueryKind::kJoin, 4);
+  const rt::RtResult rt = RunRt(engine, engine::QueryKind::kJoin, 4, batch);
   ASSERT_EQ(des.late_dropped, 0u) << "DES run dropped late tuples";
   ASSERT_EQ(rt.late_dropped_tuples, 0u) << "rt run dropped late tuples";
   ASSERT_GT(des.outputs.size(), 0u);
@@ -180,6 +182,13 @@ TEST(RtIdentityTest, SparkAggregation) { CheckAggIdentity(Engine::kSpark); }
 TEST(RtIdentityTest, FlinkJoin) { CheckJoinIdentity(Engine::kFlink); }
 TEST(RtIdentityTest, StormJoin) { CheckJoinIdentity(Engine::kStorm); }
 TEST(RtIdentityTest, SparkJoin) { CheckJoinIdentity(Engine::kSpark); }
+
+// -- Batch 1: the rt source stages and scatters a batch of one ---------------
+
+TEST(RtIdentityTest, FlinkAggregationBatch1) { CheckAggIdentity(Engine::kFlink, 1); }
+TEST(RtIdentityTest, StormAggregationBatch1) { CheckAggIdentity(Engine::kStorm, 1); }
+TEST(RtIdentityTest, SparkAggregationBatch1) { CheckAggIdentity(Engine::kSpark, 1); }
+TEST(RtIdentityTest, FlinkJoinBatch1) { CheckJoinIdentity(Engine::kFlink, 1); }
 
 // -- rt-internal invariances -------------------------------------------------
 
