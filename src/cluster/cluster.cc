@@ -67,52 +67,66 @@ const Cluster::Nic& Cluster::nic(const Node& node) const {
   return master_nic_;
 }
 
-des::Task<> Cluster::Send(Node& from, Node& to, int64_t bytes) {
-  co_await SendBatch(from, to, &bytes, 1, nullptr);
+Cluster::SendAwaiter::SendAwaiter(Cluster& cluster, Node& from, Node& to, int64_t bytes)
+    : SendAwaiter(cluster, from, to, &single_, 1, nullptr) {
+  single_ = bytes;
 }
 
-des::Task<> Cluster::SendBatch(Node& from, Node& to, const int64_t* bytes, size_t n,
-                               SimTime* arrivals) {
+Cluster::SendAwaiter::SendAwaiter(Cluster& cluster, Node& from, Node& to,
+                                  const int64_t* bytes, size_t n, SimTime* arrivals)
+    : bytes_(bytes), n_(n), arrivals_(arrivals) {
   SDPS_CHECK_GT(n, 0u);
   if (from.id() == to.id()) {  // in-process handoff
     if (arrivals != nullptr) {
-      for (size_t i = 0; i < n; ++i) arrivals[i] = sim_.now();
+      for (size_t i = 0; i < n; ++i) arrivals[i] = cluster.sim_.now();
     }
-    co_return;
+    return;
   }
+  // Route: sender NIC, the trunk when the run changes node group, receiver
+  // NIC.
+  hops_[num_hops_++] = cluster.nic(from).out.get();
+  crosses_trunk_ = from.group() != to.group();
+  if (crosses_trunk_) {
+    hops_[num_hops_++] =
+        (to.group() == NodeGroup::kWorker || to.group() == NodeGroup::kMaster)
+            ? cluster.trunk_ingest_.get()
+            : cluster.trunk_egress_.get();
+  }
+  hops_[num_hops_++] = cluster.nic(to).in.get();
+}
+
+void Cluster::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
   static obs::Counter* net_transfers =
       obs::Registry::Default().GetCounter("cluster.net.transfers");
   static obs::Counter* net_bytes =
       obs::Registry::Default().GetCounter("cluster.net.bytes");
-  int64_t total = 0;
-  for (size_t i = 0; i < n; ++i) total += bytes[i];
-  net_transfers->Add(n);
-  net_bytes->Add(static_cast<uint64_t>(total));
-  // Route: sender NIC, the trunk when the run changes node group, receiver
-  // NIC. Each hop is one Link::Transmit awaited inline: one event per hop
-  // (the run's arrival at the hop's far end) and one coroutine frame per
-  // send. Each hop is admitted at the instant the run reaches it, so runs
-  // that meet on the trunk or a receiver NIC are served in arrival order.
-  // Only the final hop's completions are the arrival times.
-  Link* hops[3];
-  size_t num_hops = 0;
-  hops[num_hops++] = nic(from).out.get();
-  const bool crosses_trunk = from.group() != to.group();
-  if (crosses_trunk) {
-    hops[num_hops++] =
-        (to.group() == NodeGroup::kWorker || to.group() == NodeGroup::kMaster)
-            ? trunk_ingest_.get()
-            : trunk_egress_.get();
+  caller_ = h;
+  for (size_t i = 0; i < n_; ++i) total_ += bytes_[i];
+  net_transfers->Add(n_);
+  net_bytes->Add(static_cast<uint64_t>(total_));
+  AdmitHop();
+}
+
+// One event per hop: the run's arrival at the hop's far end, where the
+// link books the bytes and the next hop is admitted. Each hop is admitted
+// at the instant the run reaches it, so runs that meet on the trunk or a
+// receiver NIC are served in arrival order. Only the final hop's
+// completions are the arrival times.
+void Cluster::SendAwaiter::AdmitHop() {
+  hops_[hop_]->Admit(bytes_, n_, hop_ + 1 == num_hops_ ? arrivals_ : nullptr,
+                     [this] { Arrived(); });
+}
+
+void Cluster::SendAwaiter::Arrived() {
+  if (hop_ == 0 && crosses_trunk_) {
+    static obs::Counter* trunk_bytes =
+        obs::Registry::Default().GetCounter("cluster.net.trunk_bytes");
+    trunk_bytes->Add(static_cast<uint64_t>(total_));
   }
-  hops[num_hops++] = nic(to).in.get();
-  for (size_t h = 0; h < num_hops; ++h) {
-    Link& link = *hops[h];
-    co_await link.Transmit(bytes, n, h + 1 == num_hops ? arrivals : nullptr);
-    if (h == 0 && crosses_trunk) {
-      static obs::Counter* trunk_bytes =
-          obs::Registry::Default().GetCounter("cluster.net.trunk_bytes");
-      trunk_bytes->Add(static_cast<uint64_t>(total));
-    }
+  if (++hop_ < num_hops_) {
+    AdmitHop();
+  } else {
+    caller_.resume();
   }
 }
 

@@ -5,6 +5,7 @@
 #ifndef SDPS_CLUSTER_CLUSTER_H_
 #define SDPS_CLUSTER_CLUSTER_H_
 
+#include <coroutine>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "cluster/node.h"
 #include "common/time_util.h"
 #include "des/simulator.h"
-#include "des/task.h"
 
 namespace sdps::cluster {
 
@@ -51,9 +51,11 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
   des::Simulator& sim() { return sim_; }
 
+  class SendAwaiter;
+
   /// Moves `bytes` from `from` to `to`, respecting NIC and trunk capacity:
   /// a SendBatch of one payload. Same-node transfers complete immediately.
-  des::Task<> Send(Node& from, Node& to, int64_t bytes);
+  SendAwaiter Send(Node& from, Node& to, int64_t bytes);
 
   /// Moves a back-to-back run of payloads from `from` to `to` with one
   /// admission, and one DES event, per hop (instead of n per hop). When
@@ -62,8 +64,9 @@ class Cluster {
   /// store-and-forwarded hop by hop as a unit — the whole run reaches the
   /// trunk before it is admitted there — whereas n serial Sends would
   /// pipeline items across hops; within each hop the per-item schedule is
-  /// exact (see Link::Transmit).
-  des::Task<> SendBatch(Node& from, Node& to, const int64_t* bytes, size_t n,
+  /// exact (see Link::Admit). `bytes` must stay valid until the send
+  /// completes.
+  SendAwaiter SendBatch(Node& from, Node& to, const int64_t* bytes, size_t n,
                         SimTime* arrivals);
 
   /// Total bytes that crossed each node's NIC (in + out), for Fig. 10.
@@ -101,6 +104,52 @@ class Cluster {
   std::unique_ptr<Link> trunk_ingest_;  // driver group -> worker group
   std::unique_ptr<Link> trunk_egress_;  // worker group -> driver group
 };
+
+/// The awaiter of one send (`co_await cluster.SendBatch(...)`). It lives
+/// in the awaiting coroutine's frame for the whole send, so each hop's
+/// arrival event needs to capture only a pointer to it: a send creates no
+/// coroutine frame of its own. Not copyable or movable (Send points
+/// `bytes_` at `single_`); returned by guaranteed copy elision.
+class Cluster::SendAwaiter {
+ public:
+  SendAwaiter(const SendAwaiter&) = delete;
+  SendAwaiter& operator=(const SendAwaiter&) = delete;
+
+  /// A same-node send is an in-process handoff: ready at once, no event.
+  bool await_ready() const noexcept { return num_hops_ == 0; }
+  void await_suspend(std::coroutine_handle<> h);
+  void await_resume() const noexcept {}
+
+ private:
+  friend class Cluster;
+  SendAwaiter(Cluster& cluster, Node& from, Node& to, const int64_t* bytes, size_t n,
+              SimTime* arrivals);
+  SendAwaiter(Cluster& cluster, Node& from, Node& to, int64_t bytes);
+
+  /// Admits the run on hops_[hop_]; its arrival event calls Arrived().
+  void AdmitHop();
+  void Arrived();
+
+  const int64_t* bytes_;
+  size_t n_;
+  SimTime* arrivals_;
+  int64_t single_ = 0;  // Send's one payload
+  int64_t total_ = 0;
+  Link* hops_[3] = {};
+  size_t num_hops_ = 0;  // 0: same node
+  size_t hop_ = 0;
+  bool crosses_trunk_ = false;
+  std::coroutine_handle<> caller_;
+};
+
+inline Cluster::SendAwaiter Cluster::Send(Node& from, Node& to, int64_t bytes) {
+  return SendAwaiter(*this, from, to, bytes);
+}
+
+inline Cluster::SendAwaiter Cluster::SendBatch(Node& from, Node& to, const int64_t* bytes,
+                                               size_t n, SimTime* arrivals) {
+  return SendAwaiter(*this, from, to, bytes, n, arrivals);
+}
 
 /// Outgoing payload sizes of one run, grouped by destination node in
 /// first-appearance order (one SendBatch per group). Clear() keeps every

@@ -6,6 +6,7 @@
 #ifndef SDPS_CLUSTER_NETWORK_H_
 #define SDPS_CLUSTER_NETWORK_H_
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 
@@ -34,22 +35,39 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  class TransmitAwaiter;
-
-  /// Moves a back-to-back run of payloads with ONE admission: `co_await`
-  /// resumes when the last item arrives at the far end. Item i takes
+  /// Admits a back-to-back run of payloads with ONE admission and runs
+  /// `on_arrival` (a small void() callable) when the last item arrives at
+  /// the far end, after booking the run's bytes. Item i takes
   /// tx[i] = bytes[i] / bandwidth on the line (rounded to whole
   /// microseconds), leaves it at start + tx[0] + ... + tx[i] and arrives
   /// latency() later — exactly the schedule `n` serial one-item transfers
   /// produce on this FIFO line (each would queue behind the previous). When
   /// `completions` is non-null it receives the n absolute arrival times.
   /// Concurrent transfers are served in admission order.
+  template <typename F>
+  void Admit(const int64_t* bytes, size_t n, SimTime* completions, F on_arrival) {
+    int64_t total_bytes = 0;
+    const SimTime line_time = LineTime(bytes, n, completions, &total_bytes);
+    const SimTime start = std::max(sim_.now(), free_at_);
+    free_at_ = start + line_time;
+    if (completions != nullptr) {
+      for (size_t i = 0; i < n; ++i) completions[i] += start + latency_;
+    }
+    sim_.ScheduleAt(free_at_ + latency_, [this, total_bytes, on_arrival] {
+      bytes_transferred_ += total_bytes;
+      on_arrival();
+    });
+  }
+
+  class TransmitAwaiter;
+
+  /// Admit() as an awaiter: `co_await` resumes when the last item arrives.
   TransmitAwaiter Transmit(const int64_t* bytes, size_t n, SimTime* completions);
 
   SimTime latency() const { return latency_; }
 
-  /// Cumulative payload bytes of transfers that have arrived (booked when
-  /// the transfer's coroutine resumes at its last item's arrival).
+  /// Cumulative payload bytes of transfers that have arrived (booked at
+  /// each transfer's last item's arrival).
   int64_t bytes_transferred() const { return bytes_transferred_; }
 
   double bytes_per_sec() const { return bytes_per_sec_; }
@@ -61,6 +79,7 @@ class Link {
   void set_rate_scale(double scale) {
     SDPS_CHECK_GT(scale, 0.0);
     rate_scale_ = scale;
+    memo_bytes_ = -1;  // the memoised line time was at the old rate
   }
   double rate_scale() const { return rate_scale_; }
 
@@ -69,7 +88,7 @@ class Link {
   /// into `completions` (when non-null) and adds the run's bytes to
   /// *total_bytes.
   SimTime LineTime(const int64_t* bytes, size_t n, SimTime* completions,
-                   int64_t* total_bytes) const;
+                   int64_t* total_bytes);
 
   des::Simulator& sim_;
   double bytes_per_sec_;
@@ -77,22 +96,27 @@ class Link {
   SimTime latency_;
   SimTime free_at_ = 0;  // when the line finishes its last admitted transfer
   int64_t bytes_transferred_ = 0;
+  // Line time of the last payload size seen (-1: none). Most runs repeat
+  // one record size, so this skips the divide and rounding per item.
+  int64_t memo_bytes_ = -1;
+  SimTime memo_line_time_ = 0;
+};
 
+class Link::TransmitAwaiter {
  public:
-  class TransmitAwaiter {
-   public:
-    TransmitAwaiter(Link& link, const int64_t* bytes, size_t n, SimTime* completions);
-    bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    void await_resume() { link_.bytes_transferred_ += total_bytes_; }
+  TransmitAwaiter(Link& link, const int64_t* bytes, size_t n, SimTime* completions)
+      : link_(link), bytes_(bytes), n_(n), completions_(completions) {}
+  bool await_ready() const { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    link_.Admit(bytes_, n_, completions_, [h] { h.resume(); });
+  }
+  void await_resume() const {}
 
-   private:
-    Link& link_;
-    size_t n_;
-    SimTime* completions_;
-    int64_t total_bytes_ = 0;
-    SimTime line_time_;
-  };
+ private:
+  Link& link_;
+  const int64_t* bytes_;
+  size_t n_;
+  SimTime* completions_;
 };
 
 inline Link::TransmitAwaiter Link::Transmit(const int64_t* bytes, size_t n,

@@ -24,7 +24,7 @@ namespace sdps::des {
 /// it is empty. Close() releases all waiters. Values delivered to a waiting
 /// receiver are handed to it directly (never parked where a later receiver
 /// could steal them), so wakeups are never spurious. Resumptions go through
-/// the simulator event heap for deterministic ordering.
+/// the simulator scheduler for deterministic ordering.
 template <typename T>
 class Channel {
  public:

@@ -6,9 +6,7 @@
 // trivially-copyable callables up to kInlineBytes directly inside the
 // event (covering every built-in scheduling site: they capture a handful
 // of pointers and integers), falls back to the heap only for large or
-// non-trivially-copyable callables, and is always trivially relocatable —
-// moving an EventFn is a raw byte copy plus nulling the source — so heap
-// sifts never touch the allocator.
+// non-trivially-copyable callables.
 #ifndef SDPS_DES_EVENT_FN_H_
 #define SDPS_DES_EVENT_FN_H_
 
@@ -22,9 +20,10 @@ namespace sdps::des {
 
 class EventFn {
  public:
-  /// Inline capture capacity. Sized so a heap Event is exactly one
-  /// 64-byte cache line while covering every scheduling site in the tree
-  /// (the largest capture is three 8-byte words).
+  /// Inline capture capacity. Sized so a scheduler node (EventFn plus a
+  /// list link) is exactly one 64-byte cache line while covering every
+  /// scheduling site in the tree (the largest capture is three 8-byte
+  /// words).
   static constexpr size_t kInlineBytes = 24;
 
   EventFn() = default;
@@ -38,7 +37,7 @@ class EventFn {
                   alignof(Fn) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       invoke_ = [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); };
-      // Trivially copyable: no destroy needed, relocation is a byte copy.
+      // Trivially copyable: no destroy needed.
     } else {
       Fn* heap = new Fn(std::forward<F>(f));
       std::memcpy(buf_, &heap, sizeof(heap));
@@ -55,14 +54,8 @@ class EventFn {
     }
   }
 
-  EventFn(EventFn&& other) noexcept { MoveFrom(other); }
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      MoveFrom(other);
-    }
-    return *this;
-  }
+  // Built in place in its scheduler node and run there: never copied or
+  // moved.
   EventFn(const EventFn&) = delete;
   EventFn& operator=(const EventFn&) = delete;
 
@@ -72,22 +65,15 @@ class EventFn {
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
- private:
-  using RawFn = void (*)(void*);
-
-  void MoveFrom(EventFn& other) noexcept {
-    invoke_ = other.invoke_;
-    destroy_ = other.destroy_;
-    std::memcpy(buf_, other.buf_, kInlineBytes);
-    other.invoke_ = nullptr;
-    other.destroy_ = nullptr;
-  }
-
+  /// Destroys the callable, leaving the EventFn empty.
   void Reset() noexcept {
     if (destroy_ != nullptr) destroy_(buf_);
     invoke_ = nullptr;
     destroy_ = nullptr;
   }
+
+ private:
+  using RawFn = void (*)(void*);
 
   RawFn invoke_ = nullptr;
   RawFn destroy_ = nullptr;  // null for inline trivially-copyable captures

@@ -1,6 +1,7 @@
 #include "des/simulator.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace sdps::des {
 
@@ -8,13 +9,15 @@ namespace {
 constexpr size_t kArity = 4;
 }
 
+Simulator::Simulator() : slots_(kWheelSpan) {}
+
 Simulator::~Simulator() {
   // Drop pending events without running them, then destroy root frames
   // (finished frames park at final suspend; suspended ones cascade-destroy
   // their child frames). Wait-lists in channels/resources never touch
   // handles during their own destruction, so dangling entries are inert.
-  heap_.clear();
-  slots_.clear();
+  far_.clear();
+  chunks_.clear();
   for (auto it = roots_.rbegin(); it != roots_.rend(); ++it) {
     if (*it) it->destroy();
   }
@@ -26,40 +29,53 @@ void Simulator::Spawn(Task<> task) {
   h.resume();  // run until first suspension
 }
 
-void Simulator::Push(SimTime t, EventFn fn) {
-  if (heap_.capacity() < kInitialEventCapacity) {
-    heap_.reserve(kInitialEventCapacity);
-    slots_.reserve(kInitialEventCapacity);
-    free_slots_.reserve(kInitialEventCapacity);
+void Simulator::GrowNodes() {
+  if ((num_nodes_ & ((uint32_t{1} << kChunkBits) - 1)) == 0) {
+    chunks_.push_back(std::make_unique<Node[]>(size_t{1} << kChunkBits));
   }
-  uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(std::move(fn));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(fn);
-  }
-  const EventKey key = MakeKey(t, next_seq_++);
-  // Sift up with a hole: parents slide down into the hole until the new
-  // key's level is found, so each entry is written exactly once.
-  size_t i = heap_.size();
-  heap_.emplace_back();
-  while (i > 0) {
-    const size_t parent = (i - 1) / kArity;
-    if (heap_[parent].key <= key) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = HeapEntry{key, slot};
+  free_nodes_ = num_nodes_++;  // its `next` is kNil: the list's only node
 }
 
-SimTime Simulator::PopNext(EventFn& fn) {
-  const HeapEntry top = heap_.front();
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  const size_t n = heap_.size();
+size_t Simulator::NextBusySlot() const {
+  const size_t start = static_cast<size_t>(now_) & kSlotMask;
+  size_t word = start >> 6;
+  const uint64_t here = busy_[word] & (~uint64_t{0} << (start & 63));
+  if (here != 0) return (word << 6) + static_cast<size_t>(std::countr_zero(here));
+  // The first busy word after `word`; else wrap to the first busy word
+  // overall (possibly `word` itself, whose bits below `start` are the
+  // latest times in the span).
+  const uint64_t later = word + 1 < 64 ? busy_words_ & (~uint64_t{0} << (word + 1)) : 0;
+  word = static_cast<size_t>(std::countr_zero(later != 0 ? later : busy_words_));
+  return (word << 6) + static_cast<size_t>(std::countr_zero(busy_[word]));
+}
+
+void Simulator::AdvanceTo(SimTime t) {
+  now_ = t;
+  while (!far_.empty() && KeyTime(far_.front().key) - now_ < kWheelSpan) {
+    const FarEntry entry = PopFar();
+    Append(static_cast<size_t>(KeyTime(entry.key)) & kSlotMask, entry.node);
+  }
+}
+
+void Simulator::PushFar(FarEntry entry) {
+  // Sift up with a hole: parents slide down into the hole until the new
+  // key's level is found, so each entry is written exactly once.
+  size_t i = far_.size();
+  far_.emplace_back();
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    if (far_[parent].key <= entry.key) break;
+    far_[i] = far_[parent];
+    i = parent;
+  }
+  far_[i] = entry;
+}
+
+Simulator::FarEntry Simulator::PopFar() {
+  const FarEntry top = far_.front();
+  const FarEntry last = far_.back();
+  far_.pop_back();
+  const size_t n = far_.size();
   if (n > 0) {
     // Sift the displaced last entry down with a hole at the root.
     size_t i = 0;
@@ -67,34 +83,56 @@ SimTime Simulator::PopNext(EventFn& fn) {
       const size_t first_child = i * kArity + 1;
       if (first_child >= n) break;
       size_t best = first_child;
-      EventKey best_key = heap_[first_child].key;
+      EventKey best_key = far_[first_child].key;
       const size_t end = std::min(first_child + kArity, n);
       for (size_t c = first_child + 1; c < end; ++c) {
-        const EventKey ck = heap_[c].key;
+        const EventKey ck = far_[c].key;
         if (ck < best_key) {
           best = c;
           best_key = ck;
         }
       }
       if (best_key >= last.key) break;
-      heap_[i] = heap_[best];
+      far_[i] = far_[best];
       i = best;
     }
-    heap_[i] = last;
+    far_[i] = last;
   }
-  fn = std::move(slots_[top.slot]);
-  free_slots_.push_back(top.slot);
-  return KeyTime(top.key);
+  return top;
 }
 
-bool Simulator::Step() {
-  if (heap_.empty()) return false;
-  EventFn fn;
-  const SimTime t = PopNext(fn);
-  SDPS_CHECK_GE(t, now_);
-  now_ = t;
+bool Simulator::StepUntil(SimTime limit) {
+  size_t slot;
+  if (wheel_events_ > 0) {
+    slot = NextBusySlot();
+    const SimTime t =
+        now_ + static_cast<SimTime>((slot - static_cast<size_t>(now_)) & kSlotMask);
+    if (t > limit) return false;
+    if (t != now_) AdvanceTo(t);
+  } else {
+    if (far_.empty()) return false;
+    const SimTime t = KeyTime(far_.front().key);
+    if (t > limit) return false;
+    AdvanceTo(t);  // migrates this event (and its span) into the wheel
+    slot = static_cast<size_t>(t) & kSlotMask;
+  }
+  Slot& s = slots_[slot];
+  const uint32_t node = s.head;
+  Node& n = NodeAt(node);
+  s.head = n.next;
+  if (s.head == kNil) {
+    const size_t word = slot >> 6;
+    busy_[word] &= ~(uint64_t{1} << (slot & 63));
+    if (busy_[word] == 0) busy_words_ &= ~(uint64_t{1} << word);
+  }
+  --wheel_events_;
   ++processed_events_;
-  fn();
+  // Run in place, then recycle the node: events the callback schedules
+  // take other nodes.
+  n.fn();
+  n.fn.Reset();
+  n.next = free_nodes_;
+  free_nodes_ = node;
   return true;
 }
 
@@ -107,10 +145,9 @@ void Simulator::RunUntilIdle() {
 void Simulator::RunUntil(SimTime t) {
   SDPS_CHECK_GE(t, now_);
   stop_requested_ = false;
-  while (!stop_requested_ && !heap_.empty() && KeyTime(heap_.front().key) <= t) {
-    Step();
+  while (!stop_requested_ && StepUntil(t)) {
   }
-  if (!stop_requested_) now_ = t;
+  if (!stop_requested_) AdvanceTo(t);
 }
 
 }  // namespace sdps::des

@@ -4,9 +4,10 @@
 // and resumes the awaiter (by symmetric transfer) when it completes. Root
 // processes are handed to Simulator::Spawn, which owns their frames.
 //
-// Frames come from per-thread free lists in 64-byte size classes: every
-// record crossing a link creates and destroys a send frame, and a
-// recycled block is far cheaper than a malloc/free round trip.
+// Frames come from per-thread free lists in 64-byte size classes: awaited
+// child tasks (broadcasts, window emits, snapshots) create and destroy
+// frames often, and a recycled block is far cheaper than a malloc/free
+// round trip.
 #ifndef SDPS_DES_TASK_H_
 #define SDPS_DES_TASK_H_
 

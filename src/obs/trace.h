@@ -3,7 +3,7 @@
 // runner binds it to its Simulator, so all trace times are simulated
 // microseconds) and ordered deterministically: the export sorts by
 // (begin time, sequence number), the same tie-break rule as the
-// simulator's event heap. Two identically-seeded runs therefore produce
+// simulator's scheduler. Two identically-seeded runs therefore produce
 // byte-identical trace output.
 //
 // A track is one timeline in the Chrome trace_event view: a (process,

@@ -148,6 +148,27 @@ TEST(LinkTest, ContendedArrivalsMatchFcfsReference) {
   EXPECT_GT(last_arrival, 60 * 250);
 }
 
+// The line time of a payload size is memoised; a rate-scale change must
+// drop the memo, so the same size is timed at the new rate.
+TEST(LinkTest, RateScaleChangeRecomputesMemoisedLineTime) {
+  des::Simulator sim;
+  Link link(sim, 1e6, 0);
+  std::vector<SimTime> done;
+  sim.Spawn([](des::Simulator& s, Link& l, std::vector<SimTime>& d) -> des::Task<> {
+    const int64_t bytes = 1000;  // 1000 us at 1 MB/s
+    co_await l.Transmit(&bytes, 1, nullptr);
+    d.push_back(s.now());
+    l.set_rate_scale(0.5);  // 2000 us
+    co_await l.Transmit(&bytes, 1, nullptr);
+    d.push_back(s.now());
+    l.set_rate_scale(4.0);  // 250 us
+    co_await l.Transmit(&bytes, 1, nullptr);
+    d.push_back(s.now());
+  }(sim, link, done));
+  sim.RunUntilIdle();
+  EXPECT_EQ(done, (std::vector<SimTime>{1000, 3000, 3250}));
+}
+
 TEST(LinkTest, SaturationThroughputMatchesBandwidth) {
   des::Simulator sim;
   Link link(sim, 1e6, 0);  // 1 MB/s
@@ -204,6 +225,34 @@ TEST_F(ClusterTest, SameNodeSendIsInstant) {
   sim.RunUntilIdle();
   EXPECT_EQ(sim.now(), 0);
   EXPECT_EQ(cluster.NodeNetworkBytes(cluster.worker(0)), 0);
+}
+
+// A same-node send is an in-process handoff: it neither schedules nor
+// runs an event, and every item arrives now.
+TEST_F(ClusterTest, SameNodeSendBatchSchedulesNoEvent) {
+  des::Simulator sim;
+  Cluster cluster(sim, Config());
+  const std::vector<int64_t> bytes = {400, 100, 500};
+  std::vector<SimTime> arrivals(bytes.size(), -1);
+  size_t pending_after = 0;
+  uint64_t processed_after = 0;
+  sim.ScheduleAt(700, [&] {
+    sim.Spawn([](Cluster& c, const std::vector<int64_t>& b, std::vector<SimTime>& a,
+                 size_t& pending, uint64_t& processed) -> des::Task<> {
+      des::Simulator& s = c.sim();
+      const size_t pending_before = s.pending_events();
+      const uint64_t processed_before = s.processed_events();
+      co_await c.SendBatch(c.worker(1), c.worker(1), b.data(), b.size(), a.data());
+      pending = s.pending_events() - pending_before;
+      processed = s.processed_events() - processed_before;
+    }(cluster, bytes, arrivals, pending_after, processed_after));
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(pending_after, 0u);
+  EXPECT_EQ(processed_after, 0u);
+  EXPECT_EQ(sim.processed_events(), 1u);  // the spawning callback only
+  EXPECT_EQ(arrivals, (std::vector<SimTime>{700, 700, 700}));
+  EXPECT_EQ(cluster.NodeNetworkBytes(cluster.worker(1)), 0);
 }
 
 TEST_F(ClusterTest, DriverToWorkerCrossesIngestTrunk) {
