@@ -1,5 +1,6 @@
-// Pinned event order: one small fixed aggregation trial per engine, at
-// --batch=1 and --batch=32, must retire exactly the pinned number of DES
+// Pinned event order: one small fixed aggregation and join trial per
+// engine, at --batch=1 and --batch=32 (plus Flink with checkpoint barriers,
+// with and without recovery), must retire exactly the pinned number of DES
 // events and emit exactly the pinned canonical output digest. A kernel
 // change (scheduler, link, resource, channel) that alters which events run
 // or the order they run in moves one of the two and fails here, instead of
@@ -82,15 +83,32 @@ struct Pinned {
   uint64_t digest;
 };
 
-Pinned RunTrial(Engine engine, int batch) {
+// One trial's shape beyond engine and batch size.
+struct TrialSpec {
+  engine::QueryKind kind = engine::QueryKind::kAggregation;
+  double rate = 3e5;
+  // Flink checkpoint barrier cadence (0 = no barriers). With `recovery`,
+  // each barrier also snapshots task state and commits the sink.
+  SimTime checkpoint_interval = 0;
+  bool recovery = false;
+};
+
+Pinned RunTrial(Engine engine, int batch, const TrialSpec& spec) {
   driver::ExperimentConfig config =
-      workloads::MakeExperiment(engine::QueryKind::kAggregation, 2, 3e5, Seconds(20));
+      workloads::MakeExperiment(spec.kind, 2, spec.rate, Seconds(20));
   config.batch = batch;
   std::vector<engine::OutputRecord> outs;
   config.output_listener = [&outs](const engine::OutputRecord& o) { outs.push_back(o); };
   uint64_t events = 0;
-  const driver::SutFactory inner =
-      workloads::MakeEngineFactory(engine, {engine::QueryKind::kAggregation, {}});
+  const engine::QueryConfig query{spec.kind, {}};
+  driver::SutFactory inner = workloads::MakeEngineFactory(engine, query);
+  if (spec.checkpoint_interval > 0) {
+    workloads::EngineTuning tuning;
+    tuning.recovery = spec.recovery;
+    engines::FlinkConfig flink = workloads::CalibratedFlink(query, tuning);
+    flink.checkpoint_interval = spec.checkpoint_interval;
+    inner = [flink](const driver::SutContext&) { return engines::MakeFlink(flink); };
+  }
   const auto result = driver::RunExperiment(
       config, [&](const driver::SutContext& ctx) -> std::unique_ptr<driver::Sut> {
         return std::make_unique<CountingSut>(inner(ctx), &events);
@@ -99,11 +117,13 @@ Pinned RunTrial(Engine engine, int batch) {
   return Pinned{events, outs.size(), CanonicalDigest(std::move(outs))};
 }
 
-// The pinned values predate the timing-wheel scheduler, which runs the
-// same events in the same order. They hold under every build type and
-// sanitizer.
-void ExpectPinned(Engine engine, int batch, const Pinned& want) {
-  const Pinned got = RunTrial(engine, batch);
+// The aggregation values predate the timing-wheel scheduler, which runs
+// the same events in the same order; the join and checkpoint values
+// predate Flink's single window task. They hold under every build type
+// and sanitizer.
+void ExpectPinned(Engine engine, int batch, const Pinned& want,
+                  const TrialSpec& spec = {}) {
+  const Pinned got = RunTrial(engine, batch, spec);
   EXPECT_EQ(got.events, want.events);
   EXPECT_EQ(got.outputs, want.outputs);
   EXPECT_EQ(got.digest, want.digest) << std::hex << "digest 0x" << got.digest;
@@ -126,6 +146,50 @@ TEST(PinnedTrialTest, SparkBatch1) {
 }
 TEST(PinnedTrialTest, SparkBatch32) {
   ExpectPinned(Engine::kSpark, 32, {381628, 3759, 0xb800d2c185638718});
+}
+
+// The join at a rate every engine sustains without failure (the naive
+// Storm join bolt included).
+constexpr TrialSpec kJoin{engine::QueryKind::kJoin, 1e5};
+
+TEST(PinnedTrialTest, FlinkJoinBatch1) {
+  ExpectPinned(Engine::kFlink, 1, {191660, 614, 0x0d44e799d305e346}, kJoin);
+}
+TEST(PinnedTrialTest, FlinkJoinBatch32) {
+  ExpectPinned(Engine::kFlink, 32, {191625, 614, 0x0d44e799d305e346}, kJoin);
+}
+TEST(PinnedTrialTest, StormJoinBatch1) {
+  ExpectPinned(Engine::kStorm, 1, {417308, 614, 0xcccb1de6878dbafa}, kJoin);
+}
+TEST(PinnedTrialTest, StormJoinBatch32) {
+  ExpectPinned(Engine::kStorm, 32, {330128, 614, 0xd4e688a76a998a7f}, kJoin);
+}
+TEST(PinnedTrialTest, SparkJoinBatch1) {
+  ExpectPinned(Engine::kSpark, 1, {140650, 607, 0xe30fdf86612bd9f0}, kJoin);
+}
+TEST(PinnedTrialTest, SparkJoinBatch32) {
+  ExpectPinned(Engine::kSpark, 32, {139838, 607, 0xbe1dab249d5752a7}, kJoin);
+}
+
+// Flink with checkpoint barriers every 2 s: every window task takes the
+// barrier/snapshot branch about ten times per trial. Without recovery the
+// snapshot only charges CPU; with it, each barrier also copies the task's
+// window state into the pending checkpoint and commits the sink.
+TEST(PinnedTrialTest, FlinkAggCheckpointBatch1) {
+  ExpectPinned(Engine::kFlink, 1, {570602, 3762, 0x04ac0c48dab3792d},
+               {engine::QueryKind::kAggregation, 3e5, Seconds(2)});
+}
+TEST(PinnedTrialTest, FlinkJoinCheckpointBatch1) {
+  ExpectPinned(Engine::kFlink, 1, {190875, 614, 0x0d44e799d305e346},
+               {engine::QueryKind::kJoin, 1e5, Seconds(2)});
+}
+TEST(PinnedTrialTest, FlinkAggRecoveryBatch32) {
+  ExpectPinned(Engine::kFlink, 32, {571077, 3762, 0x4e53e2bb9850865c},
+               {engine::QueryKind::kAggregation, 3e5, Seconds(2), true});
+}
+TEST(PinnedTrialTest, FlinkJoinRecoveryBatch32) {
+  ExpectPinned(Engine::kFlink, 32, {190216, 614, 0x0d44e799d305e346},
+               {engine::QueryKind::kJoin, 1e5, Seconds(2), true});
 }
 
 }  // namespace
