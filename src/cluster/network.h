@@ -7,7 +7,6 @@
 #define SDPS_CLUSTER_NETWORK_H_
 
 #include <algorithm>
-#include <coroutine>
 #include <cstdint>
 
 #include "common/check.h"
@@ -59,11 +58,6 @@ class Link {
     });
   }
 
-  class TransmitAwaiter;
-
-  /// Admit() as an awaiter: `co_await` resumes when the last item arrives.
-  TransmitAwaiter Transmit(const int64_t* bytes, size_t n, SimTime* completions);
-
   SimTime latency() const { return latency_; }
 
   /// Cumulative payload bytes of transfers that have arrived (booked at
@@ -101,28 +95,6 @@ class Link {
   int64_t memo_bytes_ = -1;
   SimTime memo_line_time_ = 0;
 };
-
-class Link::TransmitAwaiter {
- public:
-  TransmitAwaiter(Link& link, const int64_t* bytes, size_t n, SimTime* completions)
-      : link_(link), bytes_(bytes), n_(n), completions_(completions) {}
-  bool await_ready() const { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    link_.Admit(bytes_, n_, completions_, [h] { h.resume(); });
-  }
-  void await_resume() const {}
-
- private:
-  Link& link_;
-  const int64_t* bytes_;
-  size_t n_;
-  SimTime* completions_;
-};
-
-inline Link::TransmitAwaiter Link::Transmit(const int64_t* bytes, size_t n,
-                                            SimTime* completions) {
-  return TransmitAwaiter(*this, bytes, n, completions);
-}
 
 }  // namespace sdps::cluster
 

@@ -141,7 +141,9 @@ class FlinkSut : public driver::Sut {
       ctx.sim->Spawn(CheckpointCoordinator());
     }
     for (int t = 0; t < num_tasks_; ++t) {
-      ctx.sim->Spawn(WindowTaskProcess(t));
+      ctx.sim->Spawn(config_.query.kind == engine::QueryKind::kAggregation
+                         ? WindowTask(t, task_agg_)
+                         : WindowTask(t, task_join_));
     }
     return Status::OK();
   }
@@ -398,29 +400,67 @@ class FlinkSut : public driver::Sut {
     obs_checkpoints_->Add(1);
   }
 
-  Task<> WindowTaskProcess(int t) {
-    if (config_.query.kind == engine::QueryKind::kAggregation) {
-      co_await AggTask(t);
-    } else {
-      co_await JoinTask(t);
-    }
+  /// Spill slowdown of a window update at the state size the engine reads.
+  template <typename State>
+  double SpillFactor(const State& state) const {
+    return state.state_bytes() > spill_threshold_bytes_ ? config_.spill_slowdown : 1.0;
+  }
+  /// Folds one record into the aggregation and returns its CPU cost; the
+  /// spill check reads the state size right after the record's own fold.
+  SimTime Fold(engine::AggWindowState& state, const Record& rec,
+               engine::AddResult* added) const {
+    *added = state.Add(rec);
+    return CostUs(config_.agg_update_cost_us * engine::PhysicalTuples(rec) *
+                  added->window_updates * SpillFactor(state));
+  }
+  /// Buffers one record for the join and returns its CPU cost; the spill
+  /// check reads the state size before the record is buffered.
+  SimTime Fold(engine::JoinWindowState& state, const Record& rec,
+               engine::AddResult* added) const {
+    const double slow = SpillFactor(state);
+    *added = state.Add(rec);
+    return CostUs(config_.join_buffer_cost_us * engine::PhysicalTuples(rec) *
+                  added->window_updates * slow);
   }
 
-  /// Window task (aggregation): drains up to `batch_` queued messages per
-  /// resume and folds each consecutive run of valid records, record by
-  /// record, before one cpu UseBatch; the per-record completion times (service
-  /// start + cost prefix sums) are the operator stamps. Barriers and
-  /// watermarks are handled singly, in channel order, so fire/snapshot
-  /// ordering relative to records is exact.
-  Task<> AggTask(int t) {
+  /// One window trigger: its outputs, the CPU work it charges before
+  /// emitting, and the trace argument naming it.
+  struct Fired {
+    std::vector<engine::OutputRecord> outputs;
+    const char* arg;
+    double arg_value;
+    uint64_t work;  // units charged at the trigger (0: none)
+    SimTime work_cost;
+  };
+  /// The aggregation emits its running sums: no fire-time work.
+  Fired Fire(engine::AggWindowState& state, SimTime watermark) const {
+    return {state.FireUpTo(watermark), "watermark_ms", ToMillis(watermark), 0, 0};
+  }
+  /// The join builds and probes the fired windows' buffers at the trigger.
+  Fired Fire(engine::JoinWindowState& state, SimTime watermark) const {
+    engine::JoinWindowState::Fired fired = state.FireUpTo(watermark);
+    const double work = static_cast<double>(fired.join_work);
+    return {std::move(fired.outputs), "join_work", work, fired.join_work,
+            CostUs(config_.join_probe_cost_us * work)};
+  }
+
+  /// Window task over an AggWindowState (agg) or JoinWindowState (join):
+  /// drains up to `batch_` queued messages per resume and folds each
+  /// consecutive run of valid records, record by record (Fold), before one
+  /// cpu UseBatch; the per-record completion times (service start + cost
+  /// prefix sums) are the operator stamps. Barriers and watermarks are
+  /// handled singly, in channel order, so fire/snapshot ordering relative
+  /// to records is exact; a trigger charges the state's fire-time work
+  /// (Fire) before emitting.
+  template <typename State>
+  Task<> WindowTask(int t, std::vector<State>& recovery_states) {
     cluster::Node& my_worker = WorkerOfTask(t);
     engine::WindowAssigner assigner(config_.query.window);
-    engine::AggWindowState local_state(assigner);
+    State local_state(assigner);
     engine::WatermarkTracker local_tracker(num_queues_);
     // With recovery on, state lives in SUT-owned slots so a restore can
     // swap the last checkpoint in while the coroutine keeps running.
-    engine::AggWindowState& state =
-        recovery_ ? task_agg_[static_cast<size_t>(t)] : local_state;
+    State& state = recovery_ ? recovery_states[static_cast<size_t>(t)] : local_state;
     engine::WatermarkTracker& tracker =
         recovery_ ? task_trackers_[static_cast<size_t>(t)] : local_tracker;
     Channel<Message>& in = *channels_[static_cast<size_t>(t)];
@@ -430,7 +470,6 @@ class FlinkSut : public driver::Sut {
 
     std::vector<Message> msgs;
     std::vector<SimTime> costs;
-    std::vector<Record> run;
     for (;;) {
       if (!co_await in.RecvMany(&msgs, batch_)) break;
       size_t i = 0;
@@ -442,104 +481,20 @@ class FlinkSut : public driver::Sut {
         if (msgs[i].kind == Message::Kind::kRecord) {
           // Fold the run of consecutive valid records. No co_await
           // separates the folds; they depend only on record event times
-          // and on fired watermarks, which move only between runs. Each
-          // record's spill cost reads the state size measured right after
-          // its own fold.
-          costs.clear();
-          run.clear();
-          int64_t alloc = 0;
-          while (i < msgs.size() && msgs[i].kind == Message::Kind::kRecord &&
-                 !(recovery_ && msgs[i].epoch < epoch_)) {
-            const Record& rec = msgs[i].record;
-            ++i;
-            run.push_back(rec);
-            const engine::AddResult added = state.Add(rec);
-            late_dropped_tuples_ += added.late_tuples;
-            metrics_.records->Add(rec.weight);
-            metrics_.late_dropped->Add(added.late_tuples);
-            const double slow = state.state_bytes() > spill_threshold_bytes_
-                                    ? config_.spill_slowdown
-                                    : 1.0;
-            costs.push_back(CostUs(config_.agg_update_cost_us *
-                                   engine::PhysicalTuples(rec) *
-                                   added.window_updates * slow));
-            alloc += config_.alloc_bytes_per_tuple * engine::PhysicalTuples(rec);
-          }
-          SimTime done = co_await my_worker.cpu().UseBatch(costs);
-          for (size_t m = 0; m < run.size(); ++m) {
-            done += costs[m];
-            obs::LineageTracker::Default().StampOperator(run[m].lineage, done);
-          }
-          my_worker.RecordAllocation(alloc);
-          continue;
-        }
-        const Message msg = msgs[i];
-        ++i;
-        if (msg.origin == kBarrierOrigin) {
-          co_await TakeSnapshot(my_worker, track, state.state_bytes());
-          if (recovery_) {
-            OnTaskSnapshot(t, static_cast<uint64_t>(msg.watermark), msg.epoch);
-          }
-        } else if (tracker.Update(msg.origin, msg.watermark)) {
-          auto outs = state.FireUpTo(tracker.current());
-          if (!outs.empty()) {
-            metrics_.windows_fired->Add(1);
-            obs::ScopedSpan span(tracer, track, "window.fire");
-            span.Arg("outputs", static_cast<double>(outs.size()));
-            span.Arg("watermark_ms", ToMillis(tracker.current()));
-            co_await EmitOutputs(my_worker, outs, t, msg.epoch);
-          }
-          if (recovery_) OnTaskWatermark(t, tracker.current());
-        }
-      }
-    }
-  }
-
-  /// Window task (join): AggTask's structure with the join task's cost
-  /// model — the spill check precedes Add, buffering is charged per record,
-  /// and probes and emits happen at the (singly handled) watermark.
-  Task<> JoinTask(int t) {
-    cluster::Node& my_worker = WorkerOfTask(t);
-    engine::WindowAssigner assigner(config_.query.window);
-    engine::JoinWindowState local_state(assigner);
-    engine::WatermarkTracker local_tracker(num_queues_);
-    engine::JoinWindowState& state =
-        recovery_ ? task_join_[static_cast<size_t>(t)] : local_state;
-    engine::WatermarkTracker& tracker =
-        recovery_ ? task_trackers_[static_cast<size_t>(t)] : local_tracker;
-    Channel<Message>& in = *channels_[static_cast<size_t>(t)];
-    obs::Tracer& tracer = obs::Tracer::Default();
-    const obs::TrackId track =
-        engine::OperatorTrack(my_worker.name(), name(), "task", t);
-
-    std::vector<Message> msgs;
-    std::vector<SimTime> costs;
-    for (;;) {
-      if (!co_await in.RecvMany(&msgs, batch_)) break;
-      size_t i = 0;
-      while (i < msgs.size()) {
-        if (recovery_ && msgs[i].epoch < epoch_) {
-          ++i;
-          continue;
-        }
-        if (msgs[i].kind == Message::Kind::kRecord) {
+          // and on fired watermarks, which move only between runs.
           costs.clear();
           const size_t first = i;
           int64_t alloc = 0;
           while (i < msgs.size() && msgs[i].kind == Message::Kind::kRecord &&
                  !(recovery_ && msgs[i].epoch < epoch_)) {
             const Record& rec = msgs[i].record;
-            const double slow = state.state_bytes() > spill_threshold_bytes_
-                                    ? config_.spill_slowdown
-                                    : 1.0;
-            const engine::AddResult added = state.Add(rec);
+            ++i;
+            engine::AddResult added;
+            costs.push_back(Fold(state, rec, &added));
             late_dropped_tuples_ += added.late_tuples;
             metrics_.records->Add(rec.weight);
             metrics_.late_dropped->Add(added.late_tuples);
-            costs.push_back(CostUs(config_.join_buffer_cost_us * rec.weight *
-                                   added.window_updates * slow));
-            alloc += config_.alloc_bytes_per_tuple * rec.weight;
-            ++i;
+            alloc += config_.alloc_bytes_per_tuple * engine::PhysicalTuples(rec);
           }
           SimTime done = co_await my_worker.cpu().UseBatch(costs);
           for (size_t m = 0; m < costs.size(); ++m) {
@@ -558,16 +513,13 @@ class FlinkSut : public driver::Sut {
             OnTaskSnapshot(t, static_cast<uint64_t>(msg.watermark), msg.epoch);
           }
         } else if (tracker.Update(msg.origin, msg.watermark)) {
-          auto fired = state.FireUpTo(tracker.current());
-          if (fired.join_work > 0 || !fired.outputs.empty()) {
+          const Fired fired = Fire(state, tracker.current());
+          if (fired.work > 0 || !fired.outputs.empty()) {
             metrics_.windows_fired->Add(1);
             obs::ScopedSpan span(tracer, track, "window.fire");
             span.Arg("outputs", static_cast<double>(fired.outputs.size()));
-            span.Arg("join_work", static_cast<double>(fired.join_work));
-            if (fired.join_work > 0) {
-              co_await my_worker.cpu().Use(CostUs(
-                  config_.join_probe_cost_us * static_cast<double>(fired.join_work)));
-            }
+            span.Arg(fired.arg, fired.arg_value);
+            if (fired.work > 0) co_await my_worker.cpu().Use(fired.work_cost);
             if (!fired.outputs.empty()) {
               co_await EmitOutputs(my_worker, fired.outputs, t, msg.epoch);
             }

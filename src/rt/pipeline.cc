@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "chaos/recovery.h"
@@ -128,14 +129,27 @@ bool PopAny(std::vector<SpscRing<T>*>& rings, size_t* rr, T* out,
   }
 }
 
+/// A task's logical window state, one alternative per engine model and
+/// query: flink incremental aggregates, storm buffered windows, the join
+/// buffers (flink and storm), spark bucket partials.
+using WindowState =
+    std::variant<engine::AggWindowState, engine::BufferedWindowState,
+                 engine::JoinWindowState, engine::BucketWindowState>;
+
+/// Fired outputs, whichever state fired them.
+std::vector<OutputRecord> OutputsOf(std::vector<OutputRecord> outs) { return outs; }
+template <typename Fired>
+std::vector<OutputRecord> OutputsOf(Fired fired) {
+  return std::move(fired.outputs);
+}
+
 /// The Flink model's committed checkpoint: a deep copy of the window state
 /// + watermark tracker at the commit point. Restoring it and replaying the
 /// ring suffix above the ack frontier reconstructs the crashed incarnation
 /// exactly (replay re-folds exactly the post-checkpoint envelopes).
 struct FlinkSnapshot {
-  std::optional<engine::AggWindowState> agg;
-  std::optional<engine::JoinWindowState> join;
-  std::optional<engine::WatermarkTracker> tracker;
+  WindowState state;
+  engine::WatermarkTracker tracker;
   uint64_t late = 0;
 };
 
@@ -518,43 +532,37 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       Supervisor::SlotCtrl* const ctrl = supervise_tasks ? &slot.ctrl : nullptr;
       std::vector<SpscRing<Envelope>*> inputs;
       for (int s = 0; s < S; ++s) inputs.push_back(&ring_of(s, t));
-      const engine::WindowAssigner assigner(config.query.window);
-      const bool agg = config.query.kind == engine::QueryKind::kAggregation;
       const bool flink = config.model == RtPipelineConfig::Model::kFlink;
       const bool spark = config.model == RtPipelineConfig::Model::kSpark;
       obs::Tracer& tracer = obs::Tracer::Default();
       const obs::TrackId track =
           tracer.Track("rt", "rt-task-" + std::to_string(t));
 
-      // The engines' own logical state, per model (flink: incremental
-      // aggregates; storm: buffered windows; spark: bucket partials).
-      // Recovery restore per engine model:
+      // The engines' own logical state: one WindowState alternative, built
+      // once from (model, query). Recovery restore per engine model:
       //   flink  last committed checkpoint snapshot (exactly-once)
       //   spark  committed boundary cursor; bucket recompute from replay
       //          (exactly-once)
       //   storm  fresh state + full replay from the ack frontier
       //          (at-least-once: already-delivered windows refire)
+      WindowState state = [&]() -> WindowState {
+        const engine::WindowAssigner assigner(config.query.window);
+        if (spark) {
+          return engine::BucketWindowState(config.query, config.batch_interval,
+                                           slot.spark_committed);
+        }
+        if (config.query.kind == engine::QueryKind::kJoin) {
+          return engine::JoinWindowState(assigner);
+        }
+        if (flink) return engine::AggWindowState(assigner);
+        return engine::BufferedWindowState(assigner);
+      }();
       engine::WatermarkTracker tracker(S);
-      std::optional<engine::AggWindowState> flink_state;
-      std::optional<engine::BufferedWindowState> storm_state;
-      std::optional<engine::JoinWindowState> join_state;
-      std::optional<engine::BucketWindowState> spark_state;
       uint64_t late = 0;
-      if (spark) {
-        spark_state.emplace(config.query, config.batch_interval,
-                            slot.spark_committed);
-      } else if (!agg) {
-        join_state.emplace(assigner);
-      } else if (flink) {
-        flink_state.emplace(assigner);
-      } else {
-        storm_state.emplace(assigner);
-      }
       if (flink && slot.flink_ckpt.has_value()) {
         const FlinkSnapshot& ckpt = *slot.flink_ckpt;
-        if (ckpt.agg) flink_state = ckpt.agg;
-        if (ckpt.join) join_state = ckpt.join;
-        tracker = *ckpt.tracker;
+        state = ckpt.state;
+        tracker = ckpt.tracker;
         late = ckpt.late;
       }
 
@@ -613,12 +621,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       const auto checkpoint = [&](SimTime now) {
         obs::ScopedSpan span(tracer, track, "chaos.checkpoint");
         push_outputs(pending);
-        FlinkSnapshot snap;
-        if (flink_state) snap.agg = *flink_state;
-        if (join_state) snap.join = *join_state;
-        snap.tracker = tracker;
-        snap.late = late;
-        slot.flink_ckpt = std::move(snap);
+        slot.flink_ckpt = FlinkSnapshot{state, tracker, late};
         for (SpscRing<Envelope>* ring : inputs) {
           ring->AckThrough(ring->pop_index());
         }
@@ -716,21 +719,10 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
           records += env.records.size();
           obs::ScopedSpan apply(tracer, track, "window.apply");
           apply.Arg("records", static_cast<double>(env.records.size()));
-          if (spark_state) {
-            engine::AddBatch(*spark_state, env.records.begin(), env.records.size());
-          } else if (flink_state) {
-            late += engine::AddBatch(*flink_state, env.records.begin(),
-                                     env.records.size())
-                        .late_tuples;
-          } else if (storm_state) {
-            late += engine::AddBatch(*storm_state, env.records.begin(),
-                                     env.records.size())
-                        .late_tuples;
-          } else {
-            late += engine::AddBatch(*join_state, env.records.begin(),
-                                     env.records.size())
-                        .late_tuples;
-          }
+          const auto add = [&env](auto& s) {
+            return engine::AddBatch(s, env.records.begin(), env.records.size());
+          };
+          late += std::visit(add, state).late_tuples;
         }
         if (!ack_log.empty()) {
           // Record this envelope's ack entry under its ring: the index one
@@ -747,18 +739,10 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
               inputs[static_cast<size_t>(env.origin)]->pop_index(), ack_event);
         }
         if (env.has_watermark && tracker.Update(env.origin, env.watermark)) {
-          fired.clear();
           const SimTime wm = tracker.current();
           obs::ScopedSpan fire(tracer, track, "window.fire");
-          if (spark_state) {
-            fired = spark_state->FireUpTo(wm);
-          } else if (flink_state) {
-            fired = flink_state->FireUpTo(wm);
-          } else if (storm_state) {
-            fired = storm_state->FireUpTo(wm).outputs;
-          } else {
-            fired = join_state->FireUpTo(wm).outputs;
-          }
+          fired = std::visit([wm](auto& s) { return OutputsOf(s.FireUpTo(wm)); },
+                             state);
           fire.Arg("outputs", static_cast<double>(fired.size()));
           obs::FlightRecorder::Note("task.fire", t,
                                     static_cast<int64_t>(fired.size()));
@@ -784,9 +768,10 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
             // are emitted; a restart resumes the cursor there and only
             // needs buckets >= cursor - range_batches + 1, i.e. records
             // with event time >= (cursor - range_batches) * interval.
-            slot.spark_committed = spark_state->next_boundary();
+            const auto& buckets = std::get<engine::BucketWindowState>(state);
+            slot.spark_committed = buckets.next_boundary();
             const SimTime frontier =
-                (slot.spark_committed - spark_state->range_buckets()) *
+                (slot.spark_committed - buckets.range_buckets()) *
                 config.batch_interval;
             ack_through_frontier(frontier, /*strict=*/true);
           }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <coroutine>
 #include <random>
 #include <vector>
 
@@ -15,13 +16,28 @@
 namespace sdps::cluster {
 namespace {
 
+// Admits a run on `link` with a continuation that resumes the awaiting
+// coroutine when the run's last item arrives.
+struct Transfer {
+  Link& link;
+  const int64_t* bytes;
+  size_t n;
+  SimTime* completions;
+
+  bool await_ready() const { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    link.Admit(bytes, n, completions, [h] { h.resume(); });
+  }
+  void await_resume() const {}
+};
+
 TEST(LinkTest, TransferTakesBytesOverBandwidthPlusLatency) {
   des::Simulator sim;
   Link link(sim, /*bytes_per_sec=*/1e6, /*latency=*/200);
   SimTime done_at = -1;
   sim.Spawn([](des::Simulator& s, Link& l, SimTime& t) -> des::Task<> {
     const int64_t bytes = 1000;  // 1000 B at 1 MB/s = 1000 us
-    co_await l.Transmit(&bytes, 1, nullptr);
+    co_await Transfer{l, &bytes, 1, nullptr};
     t = s.now();
   }(sim, link, done_at));
   sim.RunUntilIdle();
@@ -36,7 +52,7 @@ TEST(LinkTest, TransfersSerializeFifo) {
   for (int i = 0; i < 3; ++i) {
     sim.Spawn([](des::Simulator& s, Link& l, std::vector<SimTime>& d) -> des::Task<> {
       const int64_t bytes = 1000;
-      co_await l.Transmit(&bytes, 1, nullptr);
+      co_await Transfer{l, &bytes, 1, nullptr};
       d.push_back(s.now());
     }(sim, link, done));
   }
@@ -54,7 +70,7 @@ TEST(LinkTest, RunArrivalsMatchItemsSentOneByOne) {
   SimTime run_done = -1;
   sim.Spawn([](des::Simulator& s, Link& l, const std::vector<int64_t>& b,
                std::vector<SimTime>& arrivals, SimTime& done) -> des::Task<> {
-    co_await l.Transmit(b.data(), b.size(), arrivals.data());
+    co_await Transfer{l, b.data(), b.size(), arrivals.data()};
     done = s.now();
   }(sim, link, bytes, run, run_done));
   sim.RunUntilIdle();
@@ -65,7 +81,7 @@ TEST(LinkTest, RunArrivalsMatchItemsSentOneByOne) {
   for (const int64_t& b : bytes) {
     serial_sim.Spawn([](des::Simulator& s, Link& l, const int64_t& item,
                         std::vector<SimTime>& d) -> des::Task<> {
-      co_await l.Transmit(&item, 1, nullptr);
+      co_await Transfer{l, &item, 1, nullptr};
       d.push_back(s.now());
     }(serial_sim, serial_link, b, serial));
   }
@@ -108,7 +124,7 @@ TEST(LinkTest, ContendedArrivalsMatchFcfsReference) {
     sim.Spawn([](des::Simulator& s, Link& l, const Flow& flow, Result& r) -> des::Task<> {
       co_await des::Delay(s, flow.admit_at);
       l.set_rate_scale(flow.rate_scale);
-      co_await l.Transmit(flow.bytes.data(), flow.bytes.size(), r.arrivals.data());
+      co_await Transfer{l, flow.bytes.data(), flow.bytes.size(), r.arrivals.data()};
       r.resumed_at = s.now();
     }(sim, link, flows[f], got[f]));
   }
@@ -156,13 +172,13 @@ TEST(LinkTest, RateScaleChangeRecomputesMemoisedLineTime) {
   std::vector<SimTime> done;
   sim.Spawn([](des::Simulator& s, Link& l, std::vector<SimTime>& d) -> des::Task<> {
     const int64_t bytes = 1000;  // 1000 us at 1 MB/s
-    co_await l.Transmit(&bytes, 1, nullptr);
+    co_await Transfer{l, &bytes, 1, nullptr};
     d.push_back(s.now());
     l.set_rate_scale(0.5);  // 2000 us
-    co_await l.Transmit(&bytes, 1, nullptr);
+    co_await Transfer{l, &bytes, 1, nullptr};
     d.push_back(s.now());
     l.set_rate_scale(4.0);  // 250 us
-    co_await l.Transmit(&bytes, 1, nullptr);
+    co_await Transfer{l, &bytes, 1, nullptr};
     d.push_back(s.now());
   }(sim, link, done));
   sim.RunUntilIdle();
@@ -174,7 +190,7 @@ TEST(LinkTest, SaturationThroughputMatchesBandwidth) {
   Link link(sim, 1e6, 0);  // 1 MB/s
   sim.Spawn([](des::Simulator&, Link& l) -> des::Task<> {
     const int64_t bytes = 10000;
-    for (int i = 0; i < 100; ++i) co_await l.Transmit(&bytes, 1, nullptr);
+    for (int i = 0; i < 100; ++i) co_await Transfer{l, &bytes, 1, nullptr};
   }(sim, link));
   sim.RunUntilIdle();
   // 1 MB over a 1 MB/s link = 1 simulated second.

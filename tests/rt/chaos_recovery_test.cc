@@ -29,9 +29,11 @@ constexpr uint64_t kSeed = 42;
 
 /// Paced faulty runs: 5s wall, 2s/1s windows so several windows fire
 /// before the mid-run fault at 2.8s.
-rt::RtPipelineConfig ChaosConfig(Engine engine, bool paced) {
-  rt::RtPipelineConfig config = workloads::MakeRealtime(
-      engine, engine::QueryKind::kAggregation, 2, 2e4, Seconds(5), kSeed);
+rt::RtPipelineConfig ChaosConfig(
+    Engine engine, bool paced,
+    engine::QueryKind kind = engine::QueryKind::kAggregation) {
+  rt::RtPipelineConfig config =
+      workloads::MakeRealtime(engine, kind, 2, 2e4, Seconds(5), kSeed);
   config.query.window.range = Seconds(2);
   config.query.window.slide = Seconds(1);
   config.batch_interval = Seconds(1);
@@ -46,17 +48,19 @@ rt::RtPipelineConfig ChaosConfig(Engine engine, bool paced) {
 }
 
 /// The exactly-once oracle: same seed, no faults, unpaced.
-chaos::RecoveryTracker::OutputCounts OracleOutputs(Engine engine) {
-  rt::RtPipelineConfig config = ChaosConfig(engine, /*paced=*/false);
+chaos::RecoveryTracker::OutputCounts OracleOutputs(
+    Engine engine, engine::QueryKind kind = engine::QueryKind::kAggregation) {
+  rt::RtPipelineConfig config = ChaosConfig(engine, /*paced=*/false, kind);
   const rt::RtResult twin = rt::RunRtPipeline(config);
   EXPECT_TRUE(twin.failure.ok()) << twin.failure.ToString();
   EXPECT_GT(twin.observed_outputs.size(), 0u);
   return twin.observed_outputs;
 }
 
-rt::RtResult RunWithFaults(Engine engine, const chaos::FaultSchedule& faults,
-                           bool paced = true) {
-  rt::RtPipelineConfig config = ChaosConfig(engine, paced);
+rt::RtResult RunWithFaults(
+    Engine engine, const chaos::FaultSchedule& faults, bool paced = true,
+    engine::QueryKind kind = engine::QueryKind::kAggregation) {
+  rt::RtPipelineConfig config = ChaosConfig(engine, paced, kind);
   config.faults = faults;
   return rt::RunRtPipeline(config);
 }
@@ -82,6 +86,27 @@ TEST(RtChaosDeliveryTest, FlinkCrashRecoversExactlyOnce) {
   EXPECT_GE(result.recovery.crash_time, 0);
   EXPECT_GE(result.recovery.restart_time, result.recovery.crash_time);
   EXPECT_GE(result.recovery.recovery_time, 0);
+}
+
+// The join twin: the checkpoint snapshots and restores the join buffers
+// instead of the incremental aggregates. Join outputs repeat identities
+// (one per matching pair), so the oracle compares multiplicities.
+TEST(RtChaosDeliveryTest, FlinkJoinCrashRecoversExactlyOnce) {
+  const auto oracle = OracleOutputs(Engine::kFlink, engine::QueryKind::kJoin);
+  chaos::FaultSchedule faults;
+  faults.Crash("w1", Millis(2800), /*restart_delay=*/0);
+  rt::RtResult result = RunWithFaults(Engine::kFlink, faults, /*paced=*/true,
+                                      engine::QueryKind::kJoin);
+  ASSERT_TRUE(result.failure.ok()) << result.failure.ToString();
+  EXPECT_EQ(result.restarts, 1);
+  EXPECT_GE(result.checkpoints, 1u);
+  EXPECT_GE(result.replayed_envelopes, 1u);
+  chaos::RecoveryTracker::ApplyOracle(result.observed_outputs, oracle,
+                                      &result.recovery);
+  EXPECT_EQ(result.recovery.duplicates, 0u)
+      << "flink join must not re-emit committed outputs";
+  EXPECT_EQ(result.recovery.lost, 0u)
+      << "flink join must not lose uncommitted windows";
 }
 
 TEST(RtChaosDeliveryTest, SparkCrashRecoversExactlyOnce) {
