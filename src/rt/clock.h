@@ -32,24 +32,18 @@ class Clock final : public des::TimeSource {
         .count();
   }
 
-  /// Sleeps until clock time `target` (µs since epoch). OS sleep wakes a
-  /// scheduling quantum early/late, so sleep_until aims short and a spin
-  /// tail covers the final stretch — the pacing error of the realtime
-  /// generator is the spin-tail granularity (~µs), not the OS timer slack
-  /// (~ms). Returns the clock time it last observed (>= target): a caller
-  /// already at or past `target` pays exactly one clock read.
+  /// Sleeps until clock time `target` (µs since epoch) and returns the
+  /// clock read it makes on waking (>= target): a caller already at or
+  /// past `target` pays exactly one clock read. There is no spin tail, so
+  /// the thread costs no CPU while it waits and the pacing error of the
+  /// realtime generator is the OS timer slack (~50-100 µs late, never
+  /// early).
   SimTime SleepUntil(SimTime target) const {
     SimTime t = now();
-    if (t >= target) return t;
-    // Leave the tail to the spinner; 200µs covers typical timer slack.
-    constexpr SimTime kSpinTailUs = 200;
-    const SimTime coarse = target - kSpinTailUs;
-    if (coarse > t) {
-      std::this_thread::sleep_until(epoch_ + std::chrono::microseconds(coarse));
+    while (t < target) {
+      std::this_thread::sleep_until(epoch_ + std::chrono::microseconds(target));
+      t = now();
     }
-    do {
-      t = now();  // spin tail
-    } while (t < target);
     return t;
   }
 

@@ -37,12 +37,13 @@ class Generator {
   /// Planned emission time of the record Next() just returned.
   SimTime planned_time() const { return planned_; }
 
-  /// Paced mode: block until the wall clock reaches the planned emission
-  /// time (sleep_until + spin tail inside Clock::SleepUntil). A source
-  /// that fell behind returns immediately — the generator is open-world
-  /// and never slows for the SUT; it just emits late. Returns the wall
-  /// time SleepUntil observed (>= the planned time), which the paced
-  /// source uses as the record's ingest stamp.
+  /// Paced mode: sleep until the wall clock reaches the planned emission
+  /// time (Clock::SleepUntil: no spinning, waking late by the OS timer
+  /// slack). Records that fell due during the nap, and a source that fell
+  /// behind, return at once — the generator is open-world and never slows
+  /// for the SUT; it just emits late. Returns the wall time SleepUntil
+  /// observed (>= the planned time), which the paced source uses as the
+  /// record's ingest stamp.
   SimTime PaceTo(const Clock& clock) const { return clock.SleepUntil(planned_); }
 
  private:

@@ -57,8 +57,8 @@ struct Envelope {
   int origin = 0;
 };
 
-/// Round-robin non-blocking pop across several rings with the ring's
-/// spin/yield/nap backoff, serving both the data and the sink rings. On
+/// Round-robin pop across several rings with the ring's spin-then-nap
+/// backoff (BackoffStep), serving both the data and the sink rings. On
 /// success `*out` holds the popped element and the ring slot holds what
 /// `*out` held before (SpscRing::TryPopSwap): the consumer's spent element
 /// goes back into circulation. Returns false only once every ring is
@@ -67,13 +67,14 @@ struct Envelope {
 /// — or, on the supervised/chaos path, when the slot was ordered out
 /// (`ctrl->kill`) or the pipeline aborted. With `ctrl` set, each sweep
 /// bumps the slot heartbeat so an idle-but-alive consumer never looks
-/// wedged. With `deadline` >= 0, an idle wait past it returns false with
-/// `*timed_out` set — the transactional (Flink) task uses this to commit a
-/// checkpoint while idle: its producers may be blocked on the retained
-/// ring waiting for exactly that ack, so waiting for an envelope first
-/// would deadlock. With `counters`/`clock` set, wall time spent past the
-/// first empty sweep is charged to counters->pop_wait_us (the profiler's
-/// "wait" bucket); the instant-hit fast path never reads the clock.
+/// wedged. With `deadline` >= 0, an idle wait past it (checked on each
+/// empty sweep) returns false with `*timed_out` set — the transactional
+/// (Flink) task uses this to commit a checkpoint while idle: its producers
+/// may be blocked on the retained ring waiting for exactly that ack, so
+/// waiting for an envelope first would deadlock. With `counters`/`clock`
+/// set, wall time spent past the first empty sweep is charged to
+/// counters->pop_wait_us (the profiler's "wait" bucket); the instant-hit
+/// fast path never reads the clock.
 template <typename T>
 bool PopAny(std::vector<SpscRing<T>*>& rings, size_t* rr, T* out,
             Profiler::StageCounters* counters = nullptr,
@@ -115,17 +116,11 @@ bool PopAny(std::vector<SpscRing<T>*>& rings, size_t* rr, T* out,
     if (counters != nullptr && clock != nullptr && wait_begin < 0) {
       wait_begin = clock->now();
     }
-    ++spins;
-    if (spins < 64) {
-    } else if (spins < 128) {
-      std::this_thread::yield();
-    } else {
-      if (deadline >= 0 && clock != nullptr && clock->now() >= deadline) {
-        if (timed_out != nullptr) *timed_out = true;
-        return done(false);
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    if (deadline >= 0 && clock != nullptr && clock->now() >= deadline) {
+      if (timed_out != nullptr) *timed_out = true;
+      return done(false);
     }
+    BackoffStep(spins);
   }
 }
 
@@ -465,10 +460,12 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       };
 
       // Ingest stamp: the source's most recent clock read. Paced, that is
-      // PaceTo's own read, exact per record; unpaced, one read per staging
-      // batch, taken as the batch opens (per record at batch 1) — a stamp
-      // never postdates the record's true ingest, so latency measured from
-      // it is never understated.
+      // PaceTo's own read — its wake after a nap, or its one read when the
+      // record is already due (every record that fell due during the nap
+      // is), exact per record and never before the planned event time.
+      // Unpaced, one read per staging batch, taken as the batch opens (per
+      // record at batch 1) — a stamp never postdates the record's true
+      // ingest, so latency measured from it is never understated.
       SimTime stamp = 0;
       for (;;) {
         auto rec = gen.Next();

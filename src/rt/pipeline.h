@@ -97,10 +97,11 @@ struct RtPipelineConfig {
   /// backpressure.
   size_t ring_capacity = 1024;
   /// true: pace emissions to the planned schedule with SleepUntil
-  /// (hardware-truth latency runs). false: emit as fast as the pipeline
-  /// accepts (throughput measurement, fast identity tests) — outputs are
-  /// identical either way because event times come from the planned
-  /// schedule.
+  /// (hardware-truth latency runs; sources sleep until records fall due,
+  /// so emission runs up to the OS timer slack late, never early).
+  /// false: emit as fast as the pipeline accepts (throughput measurement,
+  /// fast identity tests) — outputs are identical either way because
+  /// event times come from the planned schedule.
   bool paced = false;
   /// Spark model only: micro-batch bucket width. Window range and slide
   /// must be multiples (same validation as the DES SparkSut).

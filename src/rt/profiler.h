@@ -11,9 +11,9 @@
 //   idle    = max(0, wall − compute − stall − wait)
 //
 // Caveat worth knowing when reading the numbers: the ring's backoff
-// spins before it yields, so the first ~µs of every stall/wait interval
-// is ALSO charged to compute — on a saturated pipeline compute slightly
-// overstates useful work. The breakdown is for locating the bottleneck
+// spins 64 times before it naps, so the first ~µs of every stall/wait
+// interval is ALSO charged to compute — on a saturated pipeline compute
+// slightly overstates useful work. The breakdown is for locating the bottleneck
 // stage, not for accounting identities.
 //
 // The hot path stays cheap: workers bump plain atomics (relaxed) that

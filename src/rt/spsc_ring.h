@@ -2,8 +2,8 @@
 // backend's transport between operator stages, replacing the DES
 // DriverQueue/Channel hops with a lock-free queue whose *fullness* is the
 // backpressure signal — a producer pushing into a full ring blocks (spins,
-// then yields, then naps), which is exactly how a saturated downstream
-// operator slows an upstream one on real hardware.
+// then naps), which is exactly how a saturated downstream operator slows
+// an upstream one on real hardware.
 //
 // Classic cached-index design (see Rigtorp's SPSCQueue): head_ and tail_
 // live on separate cache lines, and each side keeps a *cached* copy of the
@@ -44,6 +44,7 @@
 #define SDPS_RT_SPSC_RING_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -62,6 +63,20 @@ inline constexpr size_t kCacheLine = std::hardware_destructive_interference_size
 #else
 inline constexpr size_t kCacheLine = 64;
 #endif
+
+/// The one ring-wait backoff (PushSwap, Pop, and the pipeline's
+/// multi-ring PopAny): call it after each failed attempt with a counter
+/// that starts at 0. The first 64 calls spin — the peer is usually a few
+/// hundred ns away — and every later call naps 50µs, so a long wait costs
+/// no core. There is no yield stage: on a host with a core per thread,
+/// yield returns at once and is only a dearer spin.
+inline void BackoffStep(int& spins) {
+  if (spins < 64) {
+    ++spins;
+    return;
+  }
+  std::this_thread::sleep_for(std::chrono::microseconds(50));
+}
 
 template <typename T>
 class SpscRing {
@@ -106,22 +121,14 @@ class SpscRing {
 
   /// Producer. Blocks until `value` is swapped into the ring — this wait
   /// *is* the realtime backpressure: a full downstream ring stalls the
-  /// producer thread. Spins briefly, then yields, then naps in 50µs steps
-  /// so a long-stalled producer doesn't burn a core. Returns false only
+  /// producer thread (BackoffStep between attempts). Returns false only
   /// when the ring was aborted (value untouched: the pipeline is being
   /// torn down).
   bool PushSwap(T& value) {
     int spins = 0;
     while (!TryPushSwap(value)) {
       if (aborted_.load(std::memory_order_acquire)) return false;
-      ++spins;
-      if (spins < 64) {
-        // busy-spin: the consumer is usually a few hundred ns away
-      } else if (spins < 128) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
+      BackoffStep(spins);
     }
     return true;
   }
@@ -188,13 +195,7 @@ class SpscRing {
         value = TryPop();
         return value;  // nullopt = closed and drained
       }
-      ++spins;
-      if (spins < 64) {
-      } else if (spins < 128) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
+      BackoffStep(spins);
     }
   }
 

@@ -40,10 +40,25 @@ TEST(RtClockTest, SleepUntilReachesTargetExactly) {
   clock.Start();
   const SimTime target = clock.now() + Millis(20);
   const SimTime woke = clock.SleepUntil(target);
-  // The spin tail guarantees we never wake early, and the returned time is
-  // a real read: at or past the target, never ahead of the clock.
+  // SleepUntil re-reads the clock after the OS sleep and never returns
+  // before the target; the returned time is a real read: at or past the
+  // target, never ahead of the clock.
   EXPECT_GE(woke, target);
   EXPECT_GE(clock.now(), woke);
+}
+
+TEST(RtClockTest, SleepUntilSubMicrosecondTargetNeverWakesEarly) {
+  // The paced source's common case at MHz rates: the next record is due
+  // in about a µs. The OS sleep rounds that up to its timer slack, and
+  // the wake read still lands at or past the target.
+  Clock clock;
+  clock.Start();
+  for (int i = 0; i < 1000; ++i) {
+    const SimTime target = clock.now() + 1;
+    const SimTime woke = clock.SleepUntil(target);
+    ASSERT_GE(woke, target) << "call " << i;
+    ASSERT_LE(woke, clock.now()) << "call " << i;
+  }
 }
 
 TEST(RtClockTest, SleepUntilPastTargetReturnsImmediately) {
@@ -60,23 +75,40 @@ TEST(RtClockTest, SleepUntilPastTargetReturnsImmediately) {
   EXPECT_LE(observed, after);
 }
 
-TEST(RtClockTest, PaceToForwardsTheObservedTime) {
+// Paces the first `n` records of `config`'s schedule on a fresh clock.
+// PaceTo forwards the time SleepUntil observed: never before the planned
+// emission, and monotone across records.
+void ExpectPacedStamps(const driver::GeneratorConfig& config, int n) {
   Clock clock;
   clock.Start();
-  driver::GeneratorConfig config;
-  config.rate = driver::ConstantRate(1e4);
-  config.duration = Seconds(1);
   Generator gen(config, Rng(7));
   SimTime prev = 0;
-  for (int i = 0; i < 50; ++i) {
+  for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(gen.Next().has_value());
     const SimTime stamp = gen.PaceTo(clock);
-    // Never before the planned emission, and monotone across records.
-    EXPECT_GE(stamp, gen.planned_time());
-    EXPECT_GE(stamp, prev);
+    ASSERT_GE(stamp, gen.planned_time()) << "record " << i;
+    ASSERT_GE(stamp, prev) << "record " << i;
     prev = stamp;
   }
   EXPECT_GE(clock.now(), prev);
+}
+
+TEST(RtClockTest, PaceToForwardsTheObservedTime) {
+  driver::GeneratorConfig config;
+  config.rate = driver::ConstantRate(1e4);
+  config.duration = Seconds(1);
+  ExpectPacedStamps(config, 50);
+}
+
+TEST(RtClockTest, PaceToAtMegahertzRateStampsMonotoneAndNeverEarly) {
+  // 2e6 records/s: 0.5 µs apart, far below the OS timer slack, so the
+  // source naps once per burst and emits every record that fell due in the
+  // nap with its own clock read.
+  driver::GeneratorConfig config;
+  config.rate = driver::ConstantRate(2e6);
+  config.tuples_per_record = 1;  // the rate is records/s
+  config.duration = Seconds(1);
+  ExpectPacedStamps(config, 20000);
 }
 
 TEST(RtClockTest, RestartResetsEpoch) {

@@ -5,6 +5,7 @@
 //     every output has max_event_time <= max_ingest_time;
 //   * in both modes, every stamp is a real read of the run's clock:
 //     0 <= max_ingest_time <= the run's wall end.
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -45,6 +46,40 @@ TEST(RtIngestStampTest, PacedStampsNeverPrecedeEventTime) {
 
 TEST(RtIngestStampTest, UnpacedBatchStampsAreRealClockReads) {
   ExpectStampsWithinRun(RunFlinkAgg(/*paced=*/false));
+}
+
+// A paced pipeline running ahead of its schedule sleeps instead of
+// spinning: the sources nap until records fall due and the task naps on
+// its empty rings, so each stage's CPU time stays well under its wall
+// time — while the generator still keeps to its schedule.
+TEST(RtPacingTest, PacedStagesSleepWhenAhead) {
+  const SimTime duration = Seconds(2);
+  rt::RtPipelineConfig config =
+      workloads::MakeRealtime(workloads::Engine::kFlink, engine::QueryKind::kAggregation,
+                              2, /*total_rate=*/1.0, duration, /*seed=*/11);
+  // 2e5 records/s (total_rate counts tuples): each source's next record
+  // is 10 µs away, far inside the OS timer slack.
+  config.total_rate = 2e5 * config.generator.tuples_per_record;
+  config.batch = 32;
+  config.paced = true;
+  config.profile = true;
+  config.pin_threads = false;
+  const rt::RtResult r = rt::RunRtPipeline(config);
+  ASSERT_TRUE(r.failure.ok()) << r.failure.ToString();
+  ASSERT_TRUE(r.profiled);
+  EXPECT_LT(r.wall_seconds - ToSeconds(duration), 0.1);
+  int checked = 0;
+  for (const rt::Profiler::StageReport& stage : r.profile.stages) {
+    if (!stage.name.starts_with("rt-src-") && !stage.name.starts_with("rt-task-")) {
+      continue;
+    }
+    ++checked;
+    EXPECT_GT(stage.wall_s, 0.0) << stage.name;
+    EXPECT_LE(stage.compute_s, 0.5 * stage.wall_s)
+        << stage.name << ": compute " << stage.compute_s << " s of "
+        << stage.wall_s << " s wall";
+  }
+  EXPECT_EQ(checked, config.num_sources + config.num_tasks);
 }
 
 }  // namespace
