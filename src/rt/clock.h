@@ -37,7 +37,9 @@ class Clock final : public des::TimeSource {
   /// past `target` pays exactly one clock read. There is no spin tail, so
   /// the thread costs no CPU while it waits and the pacing error of the
   /// realtime generator is the OS timer slack (~50-100 µs late, never
-  /// early).
+  /// early). The paced generator calls it once per wake, not per record:
+  /// records already due at the returned read reuse it
+  /// (Generator::PaceTo).
   SimTime SleepUntil(SimTime target) const {
     SimTime t = now();
     while (t < target) {

@@ -39,16 +39,25 @@ class Generator {
 
   /// Paced mode: sleep until the wall clock reaches the planned emission
   /// time (Clock::SleepUntil: no spinning, waking late by the OS timer
-  /// slack). Records that fell due during the nap, and a source that fell
-  /// behind, return at once — the generator is open-world and never slows
-  /// for the SUT; it just emits late. Returns the wall time SleepUntil
-  /// observed (>= the planned time), which the paced source uses as the
-  /// record's ingest stamp.
-  SimTime PaceTo(const Clock& clock) const { return clock.SleepUntil(planned_); }
+  /// slack) and return the wall time observed (>= the planned time), which
+  /// the paced source uses as the record's ingest stamp. One clock read
+  /// per wake: a record planned at or before the last read returns that
+  /// read without touching the clock — every record that fell due during
+  /// the nap does, and so does a source that fell behind until its
+  /// schedule passes the read. Since planned <= read <= now, no sleep is
+  /// skipped or added, and every stamp is a real read that never
+  /// postdates the record's true ingest (the unpaced source's
+  /// one-read-per-staging-batch rule). The generator is open-world and
+  /// never slows for the SUT; it just emits late.
+  SimTime PaceTo(const Clock& clock) {
+    if (planned_ > observed_) observed_ = clock.SleepUntil(planned_);
+    return observed_;
+  }
 
  private:
   driver::RecordStream stream_;
   SimTime planned_ = 0;
+  SimTime observed_ = -1;  // PaceTo's last clock read; -1 = none yet
 };
 
 }  // namespace sdps::rt

@@ -75,12 +75,27 @@ struct Envelope {
 /// set, wall time spent past the first empty sweep is charged to
 /// counters->pop_wait_us (the profiler's "wait" bucket); the instant-hit
 /// fast path never reads the clock.
+///
+/// With `bell` set, the consumer parks on it instead of napping once the
+/// spins run out: every push into `rings`, every Close() of one and the
+/// abort must ring it (fetch_add, then notify_one). The bell is read
+/// before each sweep, so a push, close or abort between that read and the
+/// park has changed its value and the wait returns at once — no wake is
+/// lost. It exists for
+/// rings that see a few pushes per second (the sink's, one per window
+/// fire): their consumer then costs no CPU while idle. The data rings take
+/// ~1e5 envelopes/s, where a notify per push would cost more than the
+/// naps it saves, so tasks keep the nap. A bell rules out `ctrl` and
+/// `deadline`: a parked consumer neither beats its heartbeat nor sees a
+/// deadline pass.
 template <typename T>
 bool PopAny(std::vector<SpscRing<T>*>& rings, size_t* rr, T* out,
             Profiler::StageCounters* counters = nullptr,
             const Clock* clock = nullptr, Supervisor::SlotCtrl* ctrl = nullptr,
             const std::atomic<bool>* aborted = nullptr, SimTime deadline = -1,
-            bool* timed_out = nullptr) {
+            bool* timed_out = nullptr,
+            const std::atomic<uint32_t>* bell = nullptr) {
+  SDPS_CHECK(bell == nullptr || (ctrl == nullptr && deadline < 0));
   int spins = 0;
   SimTime wait_begin = -1;
   const auto done = [&](bool popped) {
@@ -91,6 +106,8 @@ bool PopAny(std::vector<SpscRing<T>*>& rings, size_t* rr, T* out,
     return popped;
   };
   for (;;) {
+    const uint32_t rung =
+        bell != nullptr ? bell->load(std::memory_order_acquire) : 0;
     if (ctrl != nullptr) {
       ctrl->heartbeat.fetch_add(1, std::memory_order_relaxed);
       if (ctrl->kill.load(std::memory_order_acquire)) return done(false);
@@ -120,7 +137,11 @@ bool PopAny(std::vector<SpscRing<T>*>& rings, size_t* rr, T* out,
       if (timed_out != nullptr) *timed_out = true;
       return done(false);
     }
-    BackoffStep(spins);
+    if (bell != nullptr && spins >= kBackoffSpins) {
+      bell->wait(rung, std::memory_order_acquire);
+    } else {
+      BackoffStep(spins);
+    }
   }
 }
 
@@ -273,10 +294,19 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
   std::atomic<bool> pipeline_aborted{false};
   std::atomic<bool> sink_done{false};
   std::atomic<uint64_t> outputs_emitted{0};
+  // The sink's bell (PopAny): rung after every push into a sink ring, every
+  // Close() of one, and the abort, so the idle sink parks instead of
+  // polling.
+  std::atomic<uint32_t> sink_bell{0};
+  const auto ring_sink_bell = [&sink_bell] {
+    sink_bell.fetch_add(1, std::memory_order_release);
+    sink_bell.notify_one();
+  };
   const auto abort_pipeline = [&] {
     pipeline_aborted.store(true, std::memory_order_release);
     for (auto& ring : data_rings) ring->Abort();
     for (auto& ring : sink_rings) ring->Abort();
+    ring_sink_bell();
   };
 
   // Durable slot state (fault plans, checkpoint snapshots, commit
@@ -460,12 +490,12 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       };
 
       // Ingest stamp: the source's most recent clock read. Paced, that is
-      // PaceTo's own read — its wake after a nap, or its one read when the
-      // record is already due (every record that fell due during the nap
-      // is), exact per record and never before the planned event time.
-      // Unpaced, one read per staging batch, taken as the batch opens (per
-      // record at batch 1) — a stamp never postdates the record's true
-      // ingest, so latency measured from it is never understated.
+      // PaceTo's read — one per wake: the wake after a nap, shared by every
+      // record that fell due during the nap, never before a record's
+      // planned event time. Unpaced, one read per staging batch, taken as
+      // the batch opens (per record at batch 1). Either way a stamp never
+      // postdates the record's true ingest, so latency measured from it is
+      // never understated.
       SimTime stamp = 0;
       for (;;) {
         auto rec = gen.Next();
@@ -610,6 +640,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
                                            std::memory_order_relaxed);
           }
         }
+        ring_sink_bell();
         outs.clear();
       };
       // Flink checkpoint: commit pending outputs, snapshot state, ack the
@@ -813,6 +844,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       // replayed envelopes, so per-incarnation folding would double-count.
       if (transactional) push_outputs(pending);
       out_ring.Close();
+      ring_sink_bell();
       slot.ctrl.done.store(true, std::memory_order_release);
       late_tuples.fetch_add(late, std::memory_order_relaxed);
       if (counters != nullptr) {
@@ -862,7 +894,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
     bool crash_noted = false;
     std::vector<OutputRecord> outs;
     while (PopAny(inputs, &rr, &outs, sink_counters, &clock, nullptr,
-                  &pipeline_aborted)) {
+                  &pipeline_aborted, /*deadline=*/-1, nullptr, &sink_bell)) {
       outputs += outs.size();
       outputs_emitted.fetch_add(outs.size(), std::memory_order_relaxed);
       if (config.track_recovery && !crash_noted && supervisor.has_value()) {

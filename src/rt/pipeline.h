@@ -98,7 +98,8 @@ struct RtPipelineConfig {
   size_t ring_capacity = 1024;
   /// true: pace emissions to the planned schedule with SleepUntil
   /// (hardware-truth latency runs; sources sleep until records fall due,
-  /// so emission runs up to the OS timer slack late, never early).
+  /// so emission runs up to the OS timer slack late, never early, and
+  /// make one clock read per wake, which stamps every record then due).
   /// false: emit as fast as the pipeline accepts (throughput measurement,
   /// fast identity tests) — outputs are identical either way because
   /// event times come from the planned schedule.

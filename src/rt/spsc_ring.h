@@ -47,7 +47,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <optional>
 #include <thread>
 #include <type_traits>
@@ -58,20 +57,23 @@
 
 namespace sdps::rt {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr size_t kCacheLine = std::hardware_destructive_interference_size;
-#else
+// A fixed line size rather than std::hardware_destructive_interference_size:
+// that constant follows each translation unit's tuning flags (GCC warns
+// with -Winterference-size wherever it is used), and the ring's layout
+// must not differ between the units that share it.
 inline constexpr size_t kCacheLine = 64;
-#endif
+
+/// Failed attempts BackoffStep spins through before it starts to nap.
+inline constexpr int kBackoffSpins = 64;
 
 /// The one ring-wait backoff (PushSwap, Pop, and the pipeline's
 /// multi-ring PopAny): call it after each failed attempt with a counter
-/// that starts at 0. The first 64 calls spin — the peer is usually a few
-/// hundred ns away — and every later call naps 50µs, so a long wait costs
-/// no core. There is no yield stage: on a host with a core per thread,
-/// yield returns at once and is only a dearer spin.
+/// that starts at 0. The first kBackoffSpins calls spin — the peer is
+/// usually a few hundred ns away — and every later call naps 50µs, so a
+/// long wait costs no core. There is no yield stage: on a host with a
+/// core per thread, yield returns at once and is only a dearer spin.
 inline void BackoffStep(int& spins) {
-  if (spins < 64) {
+  if (spins < kBackoffSpins) {
     ++spins;
     return;
   }
@@ -271,6 +273,8 @@ class SpscRing {
   alignas(kCacheLine) std::atomic<bool> closed_{false};
   alignas(kCacheLine) std::atomic<bool> aborted_{false};
 };
+
+static_assert(alignof(SpscRing<int>) == kCacheLine);
 
 }  // namespace sdps::rt
 

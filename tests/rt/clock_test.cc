@@ -102,13 +102,40 @@ TEST(RtClockTest, PaceToForwardsTheObservedTime) {
 
 TEST(RtClockTest, PaceToAtMegahertzRateStampsMonotoneAndNeverEarly) {
   // 2e6 records/s: 0.5 µs apart, far below the OS timer slack, so the
-  // source naps once per burst and emits every record that fell due in the
-  // nap with its own clock read.
+  // source naps once per burst and stamps every record that fell due in
+  // the nap with the read it made on waking.
   driver::GeneratorConfig config;
   config.rate = driver::ConstantRate(2e6);
   config.tuples_per_record = 1;  // the rate is records/s
   config.duration = Seconds(1);
   ExpectPacedStamps(config, 20000);
+}
+
+TEST(RtClockTest, PaceToReusesTheReadForRecordsAlreadyDue) {
+  // A source that wakes 20 ms into a schedule whose first records are due
+  // in the first 10 ms finds them all due: the first PaceTo reads the
+  // clock and every later one returns that same read.
+  driver::GeneratorConfig config;
+  config.rate = driver::ConstantRate(1e4);
+  config.tuples_per_record = 1;  // the rate is records/s: 100 µs apart
+  config.duration = Seconds(1);
+  Clock clock;
+  clock.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Generator gen(config, Rng(7));
+  SimTime first = -1;
+  int paced = 0;
+  for (;;) {
+    ASSERT_TRUE(gen.Next().has_value());
+    if (gen.planned_time() >= Millis(10)) break;
+    const SimTime stamp = gen.PaceTo(clock);
+    if (paced == 0) first = stamp;
+    ASSERT_EQ(stamp, first) << "record " << paced;
+    ASSERT_GE(stamp, gen.planned_time()) << "record " << paced;
+    ++paced;
+  }
+  EXPECT_GT(paced, 50);
+  EXPECT_GE(first, Millis(20));
 }
 
 TEST(RtClockTest, RestartResetsEpoch) {

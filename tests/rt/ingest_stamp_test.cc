@@ -1,5 +1,5 @@
 // Ingest-stamp invariants of the rt source (DESIGN.md §6): every record's
-// ingest stamp is the source's most recent wall-clock read — per record
+// ingest stamp is the source's most recent wall-clock read — one per wake
 // when paced (the read PaceTo makes), per staged batch when unpaced. So:
 //   * paced, a stamp is never before the record's planned emission, and
 //     every output has max_event_time <= max_ingest_time;
@@ -48,26 +48,39 @@ TEST(RtIngestStampTest, UnpacedBatchStampsAreRealClockReads) {
   ExpectStampsWithinRun(RunFlinkAgg(/*paced=*/false));
 }
 
+// A paced Flink agg at 2e5 records/s for 2 s with the profiler on: a
+// pipeline running well ahead of its schedule. Run once, shared by the
+// tests below.
+struct PacedAheadRun {
+  rt::RtPipelineConfig config;
+  rt::RtResult result;
+};
+const PacedAheadRun& RunPacedAhead() {
+  static const PacedAheadRun run = [] {
+    rt::RtPipelineConfig config = workloads::MakeRealtime(
+        workloads::Engine::kFlink, engine::QueryKind::kAggregation, 2,
+        /*total_rate=*/1.0, Seconds(2), /*seed=*/11);
+    // 2e5 records/s (total_rate counts tuples): each source's next record
+    // is 10 µs away, far inside the OS timer slack.
+    config.total_rate = 2e5 * config.generator.tuples_per_record;
+    config.batch = 32;
+    config.paced = true;
+    config.profile = true;
+    config.pin_threads = false;
+    return PacedAheadRun{config, rt::RunRtPipeline(config)};
+  }();
+  return run;
+}
+
 // A paced pipeline running ahead of its schedule sleeps instead of
 // spinning: the sources nap until records fall due and the task naps on
 // its empty rings, so each stage's CPU time stays well under its wall
 // time — while the generator still keeps to its schedule.
 TEST(RtPacingTest, PacedStagesSleepWhenAhead) {
-  const SimTime duration = Seconds(2);
-  rt::RtPipelineConfig config =
-      workloads::MakeRealtime(workloads::Engine::kFlink, engine::QueryKind::kAggregation,
-                              2, /*total_rate=*/1.0, duration, /*seed=*/11);
-  // 2e5 records/s (total_rate counts tuples): each source's next record
-  // is 10 µs away, far inside the OS timer slack.
-  config.total_rate = 2e5 * config.generator.tuples_per_record;
-  config.batch = 32;
-  config.paced = true;
-  config.profile = true;
-  config.pin_threads = false;
-  const rt::RtResult r = rt::RunRtPipeline(config);
+  const auto& [config, r] = RunPacedAhead();
   ASSERT_TRUE(r.failure.ok()) << r.failure.ToString();
   ASSERT_TRUE(r.profiled);
-  EXPECT_LT(r.wall_seconds - ToSeconds(duration), 0.1);
+  EXPECT_LT(r.wall_seconds - ToSeconds(config.duration), 0.1);
   int checked = 0;
   for (const rt::Profiler::StageReport& stage : r.profile.stages) {
     if (!stage.name.starts_with("rt-src-") && !stage.name.starts_with("rt-task-")) {
@@ -80,6 +93,24 @@ TEST(RtPacingTest, PacedStagesSleepWhenAhead) {
         << stage.wall_s << " s wall";
   }
   EXPECT_EQ(checked, config.num_sources + config.num_tasks);
+}
+
+// Window fires reach the sink a few times per second, so between them the
+// sink parks on its bell rather than waking to poll its rings.
+TEST(RtPacingTest, IdleSinkParks) {
+  const rt::RtResult& r = RunPacedAhead().result;
+  ASSERT_TRUE(r.failure.ok()) << r.failure.ToString();
+  ASSERT_TRUE(r.profiled);
+  int checked = 0;
+  for (const rt::Profiler::StageReport& stage : r.profile.stages) {
+    if (stage.name != "rt-sink") continue;
+    ++checked;
+    EXPECT_GT(stage.wall_s, 0.0);
+    EXPECT_LE(stage.compute_s, 0.02 * stage.wall_s)
+        << "rt-sink: compute " << stage.compute_s << " s of " << stage.wall_s
+        << " s wall";
+  }
+  EXPECT_EQ(checked, 1);
 }
 
 }  // namespace
