@@ -1,11 +1,24 @@
 #include "engine/columnar.h"
 
+#include <numeric>
+
 namespace sdps::engine {
 
 void RadixPartition(const uint64_t* keys, size_t n,
                     const Partitioner& partitioner, PartitionPlan* plan) {
   const int parts = partitioner.parts();
   plan->parts = parts;
+  plan->active.clear();
+  plan->index.resize(n);
+  uint32_t* index = plan->index.data();
+  if (parts == 1) {
+    // One destination: the plan is the identity permutation. No key is
+    // read and no hash computed.
+    plan->offsets.assign({0, static_cast<uint32_t>(n)});
+    if (n != 0) plan->active.push_back(0);
+    std::iota(index, index + n, 0u);
+    return;
+  }
   plan->dests.resize(n);
   plan->offsets.assign(static_cast<size_t>(parts) + 1, 0);
 
@@ -23,7 +36,6 @@ void RadixPartition(const uint64_t* keys, size_t n,
   // destinations that received records are listed on the way, so
   // consumers walk only non-empty runs (a run of one touches one
   // destination, not all).
-  plan->active.clear();
   uint32_t end = 0;
   for (int p = 0; p < parts; ++p) {
     if (offsets[p] != 0) plan->active.push_back(p);
@@ -35,8 +47,6 @@ void RadixPartition(const uint64_t* keys, size_t n,
   // Stable scatter, back to front: each record takes the last free slot
   // of its run, so ascending i per destination keeps arrival order, and
   // offsets[p] walks down from the end of run p to its start.
-  plan->index.resize(n);
-  uint32_t* index = plan->index.data();
   for (size_t i = n; i-- > 0;) index[--offsets[dests[i]]] = static_cast<uint32_t>(i);
 }
 

@@ -76,7 +76,9 @@ struct PartitionPlan {
 
 /// One-pass radix partitioning: histogram, prefix sum, stable scatter.
 /// Exactly equivalent to assigning PartitionForKey(keys[i], parts) per
-/// record and appending i to its destination's list.
+/// record and appending i to its destination's list. With one part the
+/// plan is the identity, built without reading `keys` (which may then be
+/// null or unloaded).
 void RadixPartition(const uint64_t* keys, size_t n,
                     const Partitioner& partitioner, PartitionPlan* plan);
 

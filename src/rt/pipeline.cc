@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -356,7 +357,13 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
   }
 
   Executor::Options exec_options;
-  exec_options.pin_threads = config.pin_threads;
+  // One stage thread per CPU at most: with more stage threads than CPUs,
+  // round-robin pins would put a task on a source's CPU, and every wake
+  // of the napping task would preempt that source. Unpinned, the kernel
+  // spreads them.
+  exec_options.pin_threads =
+      config.pin_threads &&
+      S + T + 1 <= static_cast<int>(std::thread::hardware_concurrency());
   exec_options.trace_clock = config.trace ? &clock : nullptr;
   exec_options.profiler = profiler.has_value() ? &*profiler : nullptr;
   Executor executor(exec_options);
@@ -429,8 +436,9 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
         env.has_watermark = false;
       };
       // Shuffle fabric (engine/columnar.h): records stage into one batch,
-      // radix-scatter to the per-task open runs in a single pass, and —
-      // with the combiner on — each flushed run collapses into
+      // radix-scatter to the per-task open runs in a single pass (a batch
+      // bound for one task whose run is empty moves whole), and — with
+      // the combiner on — each flushed run collapses into
       // per-(key, bucket) partials before the ring push.
       const engine::Partitioner partitioner(T);
       engine::RecordBatch staging;
@@ -460,9 +468,23 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
       auto scatter = [&] {
         const size_t n = staging.size();
         if (n == 0) return;
-        cols.LoadKeys(staging.begin(), n);
+        // One task: the plan is the identity and reads no keys.
+        if (T > 1) cols.LoadKeys(staging.begin(), n);
         engine::RadixPartition(cols.keys.data(), n, partitioner,
                                &plan_scratch);
+        if (plan_scratch.active.size() == 1) {
+          // The whole batch goes to one task. If that task's envelope is
+          // empty, the staging batch becomes it by swap and staging takes
+          // the envelope's spent storage: no record is copied. With one
+          // task every batch goes this way.
+          const int t = plan_scratch.active.front();
+          engine::RecordBatch& b = open[static_cast<size_t>(t)].records;
+          if (b.empty()) {
+            std::swap(b, staging);
+            if (b.size() >= batch) flush(t);
+            return;
+          }
+        }
         const Record* rows = staging.begin();
         for (int t = 0; t < T; ++t) {
           const uint32_t run = plan_scratch.RunSize(t);

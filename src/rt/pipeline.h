@@ -121,6 +121,9 @@ struct RtPipelineConfig {
   SimTime watermark_every = Millis(200);
   /// Collect every OutputRecord into RtResult::outputs (identity tests).
   bool capture_outputs = false;
+  /// Pin the stage threads round-robin to CPUs — only when there are no
+  /// more of them (num_sources + num_tasks + 1) than CPUs; otherwise none
+  /// is pinned.
   bool pin_threads = true;
 
   /// Record wall-clock spans (source flushes, ring push-blocks, window

@@ -74,6 +74,31 @@ TEST(RadixPartitionTest, EmptyAndSingleRecord) {
   for (int p = 0; p <= 48; ++p) EXPECT_EQ(plan.offsets[p], p > d ? 1u : 0u);
 }
 
+// With one part the plan is the identity, built without hashing: it must
+// equal the general algorithm's plan (the scalar oracle's single run), even
+// on a plan object a many-part pass left behind, and must not read keys.
+TEST(RadixPartitionTest, OnePartIsIdentity) {
+  const std::vector<uint64_t> many = RandomKeys(3000, 1u << 20, 5);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{32}, size_t{1024}}) {
+    const std::vector<uint64_t> keys = RandomKeys(n, 2'000'000, 11 + n);
+    std::vector<std::vector<uint32_t>> reference;
+    ScalarPartition(keys.data(), n, 1, &reference);
+    const std::vector<int> active = n == 0 ? std::vector<int>{} : std::vector<int>{0};
+    PartitionPlan plan;
+    RadixPartition(many.data(), many.size(), Partitioner(7), &plan);
+    for (const uint64_t* k : {keys.data(), static_cast<const uint64_t*>(nullptr)}) {
+      RadixPartition(k, n, Partitioner(1), &plan);
+      EXPECT_EQ(plan.parts, 1) << "n=" << n;
+      EXPECT_EQ(plan.offsets, (std::vector<uint32_t>{0, static_cast<uint32_t>(n)}))
+          << "n=" << n;
+      EXPECT_EQ(std::vector<uint32_t>(plan.Begin(0), plan.End(0)), reference[0])
+          << "n=" << n;
+      EXPECT_EQ(plan.index, reference[0]) << "n=" << n;
+      EXPECT_EQ(plan.active, active) << "n=" << n;
+    }
+  }
+}
+
 // Plan scratch must be reusable across passes with different sizes and
 // partition counts (the engines keep one plan per task).
 TEST(RadixPartitionTest, PlanReuse) {

@@ -82,10 +82,11 @@ std::vector<engine::OutputRecord> RunDes(Engine engine, bool combine) {
   return outputs;
 }
 
-rt::RtResult RunRt(Engine engine, bool combine) {
+rt::RtResult RunRt(Engine engine, bool combine, int num_tasks) {
   rt::RtPipelineConfig config =
       workloads::MakeRealtimeShuffle(engine, 2, kRate, kDuration, combine, kSeed);
   config.generator.num_keys = kTestKeys;
+  config.num_tasks = num_tasks;
   config.capture_outputs = true;
   config.batch = 32;
   config.pin_threads = false;  // CI runners may forbid affinity calls
@@ -125,9 +126,9 @@ void CheckCombinerIdentityDes(Engine engine) {
   ExpectIdentical(off, on, "combiner changed the DES output multiset");
 }
 
-void CheckDesRtIdentity(Engine engine, bool combine) {
+void CheckDesRtIdentity(Engine engine, bool combine, int num_tasks = 4) {
   const Canon des = Canonical(RunDes(engine, combine), "DES");
-  const Canon rt = Canonical(RunRt(engine, combine).outputs, "rt");
+  const Canon rt = Canonical(RunRt(engine, combine, num_tasks).outputs, "rt");
   ExpectIdentical(des, rt, combine ? "DES vs rt diverged (combine on)"
                                    : "DES vs rt diverged (combine off)");
 }
@@ -163,6 +164,18 @@ TEST(ShuffleE2eTest, SparkDesRtIdentityCombineOff) {
 }
 TEST(ShuffleE2eTest, SparkDesRtIdentityCombineOn) {
   CheckDesRtIdentity(Engine::kSpark, true);
+}
+
+// One task (the shape of shuffle_2m's rt twin): each staging batch becomes
+// the task's envelope whole and the combiner folds it there.
+TEST(ShuffleE2eTest, FlinkDesRtIdentityCombineOnOneTask) {
+  CheckDesRtIdentity(Engine::kFlink, true, 1);
+}
+TEST(ShuffleE2eTest, StormDesRtIdentityCombineOnOneTask) {
+  CheckDesRtIdentity(Engine::kStorm, true, 1);
+}
+TEST(ShuffleE2eTest, SparkDesRtIdentityCombineOnOneTask) {
+  CheckDesRtIdentity(Engine::kSpark, true, 1);
 }
 
 // -- Guard rails --------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -141,10 +142,10 @@ void ExpectNear(double a, double b, uint64_t key, SimTime window_end) {
                          << " window_end=" << window_end;
 }
 
-void CheckAggIdentity(Engine engine, int batch = 32) {
+void CheckAggIdentity(Engine engine, int batch = 32, int num_tasks = 4) {
   const DesRun des = RunDes(engine, engine::QueryKind::kAggregation);
   const rt::RtResult rt =
-      RunRt(engine, engine::QueryKind::kAggregation, 4, batch);
+      RunRt(engine, engine::QueryKind::kAggregation, num_tasks, batch);
   ASSERT_EQ(des.late_dropped, 0u) << "DES run dropped late tuples";
   ASSERT_EQ(rt.late_dropped_tuples, 0u) << "rt run dropped late tuples";
   ASSERT_GT(des.outputs.size(), 0u);
@@ -162,9 +163,10 @@ void CheckAggIdentity(Engine engine, int batch = 32) {
   }
 }
 
-void CheckJoinIdentity(Engine engine, int batch = 32) {
+void CheckJoinIdentity(Engine engine, int batch = 32, int num_tasks = 4) {
   const DesRun des = RunDes(engine, engine::QueryKind::kJoin);
-  const rt::RtResult rt = RunRt(engine, engine::QueryKind::kJoin, 4, batch);
+  const rt::RtResult rt =
+      RunRt(engine, engine::QueryKind::kJoin, num_tasks, batch);
   ASSERT_EQ(des.late_dropped, 0u) << "DES run dropped late tuples";
   ASSERT_EQ(rt.late_dropped_tuples, 0u) << "rt run dropped late tuples";
   ASSERT_GT(des.outputs.size(), 0u);
@@ -190,22 +192,51 @@ TEST(RtIdentityTest, StormAggregationBatch1) { CheckAggIdentity(Engine::kStorm, 
 TEST(RtIdentityTest, SparkAggregationBatch1) { CheckAggIdentity(Engine::kSpark, 1); }
 TEST(RtIdentityTest, FlinkJoinBatch1) { CheckJoinIdentity(Engine::kFlink, 1); }
 
+// -- One task: every staging batch becomes the task's envelope whole ---------
+
+TEST(RtIdentityTest, FlinkAggregationOneTask) {
+  CheckAggIdentity(Engine::kFlink, 32, 1);
+}
+TEST(RtIdentityTest, StormAggregationOneTask) {
+  CheckAggIdentity(Engine::kStorm, 32, 1);
+}
+TEST(RtIdentityTest, SparkAggregationOneTask) {
+  CheckAggIdentity(Engine::kSpark, 32, 1);
+}
+TEST(RtIdentityTest, FlinkAggregationBatch1OneTask) {
+  CheckAggIdentity(Engine::kFlink, 1, 1);
+}
+TEST(RtIdentityTest, StormAggregationBatch1OneTask) {
+  CheckAggIdentity(Engine::kStorm, 1, 1);
+}
+TEST(RtIdentityTest, SparkAggregationBatch1OneTask) {
+  CheckAggIdentity(Engine::kSpark, 1, 1);
+}
+TEST(RtIdentityTest, FlinkJoinOneTask) { CheckJoinIdentity(Engine::kFlink, 32, 1); }
+TEST(RtIdentityTest, StormJoinOneTask) { CheckJoinIdentity(Engine::kStorm, 32, 1); }
+TEST(RtIdentityTest, SparkJoinOneTask) { CheckJoinIdentity(Engine::kSpark, 32, 1); }
+
 // -- rt-internal invariances -------------------------------------------------
 
 // The output multiset must not depend on the task-thread count (keys are
-// wholly owned by one task at any partition count).
+// wholly owned by one task at any partition count). One task is the
+// source's whole-batch path; 2 and 5 scatter every staging batch.
 TEST(RtIdentityTest, TaskCountInvariance) {
   const rt::RtResult a = RunRt(Engine::kFlink, engine::QueryKind::kAggregation, 2);
-  const rt::RtResult b = RunRt(Engine::kFlink, engine::QueryKind::kAggregation, 5);
   const auto ca = CanonicalAgg(a.outputs, "tasks=2");
-  const auto cb = CanonicalAgg(b.outputs, "tasks=5");
-  ASSERT_EQ(ca.size(), cb.size());
-  auto ia = ca.begin();
-  auto ib = cb.begin();
-  for (; ia != ca.end(); ++ia, ++ib) {
-    ASSERT_EQ(ia->first, ib->first);
-    EXPECT_EQ(ia->second.weight, ib->second.weight);
-    ExpectNear(ia->second.value, ib->second.value, ia->first.first, ia->first.second);
+  for (const int tasks : {1, 5}) {
+    const rt::RtResult b =
+        RunRt(Engine::kFlink, engine::QueryKind::kAggregation, tasks);
+    const std::string tag = "tasks=" + std::to_string(tasks);
+    const auto cb = CanonicalAgg(b.outputs, tag.c_str());
+    ASSERT_EQ(ca.size(), cb.size()) << tag;
+    auto ia = ca.begin();
+    auto ib = cb.begin();
+    for (; ia != ca.end(); ++ia, ++ib) {
+      ASSERT_EQ(ia->first, ib->first) << tag;
+      EXPECT_EQ(ia->second.weight, ib->second.weight) << tag;
+      ExpectNear(ia->second.value, ib->second.value, ia->first.first, ia->first.second);
+    }
   }
 }
 
