@@ -1,7 +1,7 @@
-// Group-probing (Swiss-table-style) hash map: the one keyed map behind
-// every keyed hot path (the three window states, the join build/probe and
-// the ShuffleCombiner fold). Each caller issues one FindOrInsert or Find
-// per record, in input order.
+// Group-probing (Swiss-table-style) hash map: the one keyed map of engine
+// code (the window states, Spark's bucket partials and running aggregate,
+// the join builds and the ShuffleCombiner fold). Each caller issues one
+// FindOrInsert or Find per record, in input order.
 //
 //   * A separate 1-byte control-tag array holds a 7-bit hash fragment per
 //     slot (0x80 = empty). One 16-byte load + compare sweeps a whole

@@ -23,19 +23,15 @@ W& WindowSlot(std::vector<W>& v, int64_t id, MakeW&& make) {
   return *v.insert(v.begin() + static_cast<ptrdiff_t>(i), make(id));
 }
 
-void SortOutputs(std::vector<OutputRecord>& out) {
-  // Deterministic output order regardless of hash-table iteration order.
-  // Stable: a key firing in two overlapping windows can tie on
-  // (max_event_time, key); every backend appends windows in ascending id
-  // order, so stability gives all of them the identical total order.
-  std::stable_sort(out.begin(), out.end(),
+}  // namespace
+
+void SortOutputs(std::vector<OutputRecord>& out, size_t first) {
+  std::stable_sort(out.begin() + static_cast<ptrdiff_t>(first), out.end(),
                    [](const OutputRecord& a, const OutputRecord& b) {
     if (a.max_event_time != b.max_event_time) return a.max_event_time < b.max_event_time;
     return a.key < b.key;
   });
 }
-
-}  // namespace
 
 int64_t AggWindowState::LastWindowCached(SimTime event_time) {
   if (event_time < cached_slide_start_ || event_time >= cached_slide_end_)
@@ -356,7 +352,8 @@ JoinWindowState::Fired JoinWindowState::FireUpTo(SimTime watermark) {
 
 void BucketPartial::Add(const Record& rec, QueryKind kind) {
   if (kind == QueryKind::kAggregation) {
-    aggs[rec.key].Merge(rec);
+    bool inserted;
+    aggs.FindOrInsert(rec.key, &inserted).Merge(rec);
   } else if (rec.stream == StreamId::kPurchases) {
     purchases.push_back(rec);
   } else {
@@ -365,6 +362,14 @@ void BucketPartial::Add(const Record& rec, QueryKind kind) {
   tuples += PhysicalTuples(rec);
   max_event_time = std::max(max_event_time, rec.event_time);
   max_ingest_time = std::max(max_ingest_time, rec.ingest_time);
+}
+
+void BucketPartial::Merge(uint64_t key, const WindowKeyAgg& agg) {
+  bool inserted;
+  aggs.FindOrInsert(key, &inserted).Merge(agg);
+  tuples += agg.weight;
+  max_event_time = std::max(max_event_time, agg.max_event_time);
+  max_ingest_time = std::max(max_ingest_time, agg.max_ingest_time);
 }
 
 BucketWindowState::BucketWindowState(const QueryConfig& query, SimTime interval,
@@ -411,26 +416,29 @@ std::vector<OutputRecord> BucketWindowState::FireUpTo(SimTime frontier) {
 uint64_t BucketWindowState::Evaluate(QueryKind kind,
                                      const std::vector<const BucketPartial*>& window,
                                      SimTime end, std::vector<OutputRecord>* out) {
-  // std::unordered_map on purpose: its iteration order is the aggregation's
-  // output order, which the recorded figure outputs pin.
+  const size_t first = out->size();
   uint64_t work = 0;
+  bool inserted;
   if (kind == QueryKind::kAggregation) {
-    std::unordered_map<uint64_t, WindowKeyAgg> merged;
+    GroupedKeyMap<WindowKeyAgg> merged;
     for (const BucketPartial* b : window) {
-      for (const auto& [key, agg] : b->aggs) merged[key].Merge(agg);
+      b->aggs.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
+        merged.FindOrInsert(key, &inserted).Merge(agg);
+      });
       work += b->aggs.size();
     }
-    for (const auto& [key, agg] : merged) {
+    merged.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
       out->push_back({agg.max_event_time, agg.max_ingest_time, key, agg.sum, 1,
                       agg.lineage, end});
-    }
+    });
+    SortOutputs(*out, first);
     return work;
   }
-  std::unordered_map<uint64_t, std::vector<const Record*>> build;
+  GroupedKeyMap<std::vector<const Record*>> build;
   SimTime max_event = 0, max_ingest = 0;
   for (const BucketPartial* b : window) {
     for (const Record& ad : b->ads) {
-      build[ad.key].push_back(&ad);
+      build.FindOrInsert(ad.key, &inserted).push_back(&ad);
       work += ad.weight;
     }
     max_event = std::max(max_event, b->max_event_time);
@@ -439,14 +447,15 @@ uint64_t BucketWindowState::Evaluate(QueryKind kind,
   for (const BucketPartial* b : window) {
     for (const Record& p : b->purchases) {
       work += p.weight;
-      const auto match = build.find(p.key);
-      if (match == build.end()) continue;
-      for (const Record* ad : match->second) {
+      const auto* match = build.Find(p.key);
+      if (match == nullptr) continue;
+      for (const Record* ad : *match) {
         out->push_back({max_event, max_ingest, p.key, p.value, p.weight,
                         p.lineage >= 0 ? p.lineage : ad->lineage, end});
       }
     }
   }
+  SortOutputs(*out, first);
   return work;
 }
 

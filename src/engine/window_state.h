@@ -19,11 +19,12 @@
 // Add): open windows live in a sorted vector keyed by consecutive window
 // ids (sliding windows overlap by size/slide, so there are only a handful
 // open at once — ordered lookup is a short scan from the back, not a
-// red-black tree walk), and per-window key state lives in flat
-// open-addressing tables (engine::GroupedKeyMap, 16-wide group probing,
-// one probe per record) instead of node-based unordered_maps.
+// red-black tree walk), and all keyed state, Spark's bucket partials and
+// join builds included, lives in flat open-addressing tables
+// (engine::GroupedKeyMap, 16-wide group probing, one probe per record).
 // Fired windows return their tables/buffers to a scratch arena so
-// steady-state firing never touches the allocator.
+// steady-state firing never touches the allocator. Every evaluation's
+// outputs leave through SortOutputs: no table order reaches an output.
 //
 // Output event-/processing-times follow the paper's Definitions 3 and 4:
 // aggregation outputs carry the max event-/ingest-time of the contributing
@@ -36,7 +37,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/group_hash.h"
@@ -79,6 +79,12 @@ struct WindowKeyAgg {
     if (lineage < 0) lineage = other.lineage;
   }
 };
+
+/// Sorts out[first..] by (max_event_time, key), the one output order of
+/// every window state. Stable: a key firing in two overlapping windows,
+/// or one key's join pairs, tie; every backend appends windows in
+/// ascending id order, so stability gives all of them one total order.
+void SortOutputs(std::vector<OutputRecord>& out, size_t first = 0);
 
 /// Result of adding one record to window state. With out-of-order input,
 /// some (or all) of a record's windows may already have fired; those
@@ -325,8 +331,8 @@ class JoinWindowState {
 /// per-key partial aggregates (aggregation query) or raw two-sided
 /// buffers (join query).
 struct BucketPartial {
-  std::unordered_map<uint64_t, WindowKeyAgg> aggs;  // aggregation query
-  std::vector<Record> purchases;                    // join query
+  GroupedKeyMap<WindowKeyAgg> aggs;  // aggregation query
+  std::vector<Record> purchases;     // join query
   std::vector<Record> ads;
   /// Physical tuples folded in: a shuffle-combined partial is deserialized,
   /// folded and retained as ONE object (equal to weight without a
@@ -336,6 +342,8 @@ struct BucketPartial {
   SimTime max_ingest_time = 0;
 
   void Add(const Record& rec, QueryKind kind);
+  /// Folds in a tree-aggregate partial of `key` (agg.weight tuples).
+  void Merge(uint64_t key, const WindowKeyAgg& agg);
 };
 
 /// Spark's event-time bucket window (deterministic batching): bucket b
@@ -344,10 +352,10 @@ struct BucketPartial {
 /// buckets (nb - range/interval, nb], ending at nb*interval. A boundary
 /// fires only once the frontier — every record below it has been added —
 /// reaches its end, so the output multiset is a pure function of the
-/// input stream, not of arrival timing. Assumes in-order event times per
-/// input (a record for an already-fired boundary is not reported late).
-/// The DES SparkSut's deterministic reduce and the rt Spark task both run
-/// this state (DESIGN.md §6).
+/// input stream, not of arrival timing (each boundary's outputs sorted as
+/// Flink's and Storm's). Assumes in-order event times per input (a record
+/// for an already-fired boundary is not reported late). The DES SparkSut's
+/// deterministic reduce and the rt Spark task both run this state (DESIGN.md §6).
 class BucketWindowState {
  public:
   /// `resume_boundary` >= 0 restarts the cursor at a committed boundary (a
@@ -371,12 +379,12 @@ class BucketWindowState {
   std::vector<OutputRecord> FireUpTo(SimTime frontier);
 
   /// Evaluates one window over `window` (its buckets, oldest first) with
-  /// window_end `end`, appending the outputs to *out. Aggregation: one
-  /// output per key with the merged partials; returns the partial entries
-  /// merged. Join: build on the ads, probe with the purchases — one output
-  /// per matching (purchase, ad) pair carrying the purchase's value and
-  /// weight and the window's max times (paper Fig. 2); returns the side
-  /// weights scanned.
+  /// window_end `end`, appending the outputs to *out in SortOutputs order.
+  /// Aggregation: one output per key with the merged partials; returns the
+  /// partial entries merged. Join: build on the ads, probe with the
+  /// purchases — one output per matching (purchase, ad) pair carrying the
+  /// purchase's value and weight and the window's max times (paper Fig. 2);
+  /// returns the side weights scanned.
   static uint64_t Evaluate(QueryKind kind,
                            const std::vector<const BucketPartial*>& window,
                            SimTime end, std::vector<OutputRecord>* out);

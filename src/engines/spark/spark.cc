@@ -4,7 +4,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "cluster/cluster.h"
 #include "common/check.h"
@@ -74,7 +73,7 @@ struct MapOutput {
   int home_worker = 0;
   // Per reduce partition: combined partials (tree aggregate) or the flat
   // destination-major shuffle rows below.
-  std::vector<std::unordered_map<uint64_t, WindowKeyAgg>> combined;
+  std::vector<engine::GroupedKeyMap<WindowKeyAgg>> combined;
   // Raw path: one flat buffer (single allocation, sequential writes);
   // partition r's records are rows[run_offsets[r] .. run_offsets[r+1]),
   // in arrival order — identical content and order to the per-partition
@@ -120,7 +119,10 @@ struct SparkJob {
 
 struct PartitionState {
   std::deque<BucketPartial> history;  // one partial per job, newest at back
-  std::unordered_map<uint64_t, WindowKeyAgg> running;  // inverse-reduce mode
+  /// Inverse-reduce mode. The map is insert-only: a key whose weight
+  /// returns to 0 is reset in place, and live_keys counts weights > 0.
+  engine::GroupedKeyMap<WindowKeyAgg> running;
+  size_t live_keys = 0;
   int64_t heap_bytes = 0;
   /// Deterministic batching: the event-time bucket partials and boundary
   /// cursor. Replaces `history` in det mode.
@@ -559,9 +561,10 @@ class SparkSut : public driver::Sut {
       out.combined.resize(static_cast<size_t>(num_reduce_));
       for (const Record& rec : block.records) {
         obs::LineageTracker::Default().StampOperator(rec.lineage, ctx_.sim->now());
-        out.combined[static_cast<size_t>(engine::PartitionForKey(rec.key, num_reduce_))]
-                    [rec.key]
-                        .Merge(rec);
+        bool inserted;
+        out.combined[static_cast<size_t>((*partitioner_)(rec.key))]
+            .FindOrInsert(rec.key, &inserted)
+            .Merge(rec);
       }
     } else {
       // Columnar shuffle write: radix-partition the block in one pass and
@@ -635,14 +638,9 @@ class SparkSut : public driver::Sut {
     uint64_t merged_entries = 0;
     for (const MapOutput& mo : job.map_outputs) {
       if (!mo.combined.empty()) {
-        for (const auto& [key, agg] : mo.combined[static_cast<size_t>(r)]) {
-          partial.aggs[key].Merge(agg);
-          ++merged_entries;
-          partial.tuples += agg.weight;
-          partial.max_event_time = std::max(partial.max_event_time, agg.max_event_time);
-          partial.max_ingest_time =
-              std::max(partial.max_ingest_time, agg.max_ingest_time);
-        }
+        mo.combined[static_cast<size_t>(r)].ForEach(
+            [&](uint64_t key, const WindowKeyAgg& agg) { partial.Merge(key, agg); });
+        merged_entries += mo.combined[static_cast<size_t>(r)].size();
       } else if (mo.has_rows()) {
         for (const Record* it = mo.RunBegin(r); it != mo.RunEnd(r); ++it) {
           partial.Add(*it, config_.query.kind);
@@ -665,7 +663,12 @@ class SparkSut : public driver::Sut {
 
     // Inverse-reduce: fold into the running window aggregate.
     if (config_.inverse_reduce && config_.query.kind == engine::QueryKind::kAggregation) {
-      for (const auto& [key, agg] : partial.aggs) st.running[key].Merge(agg);
+      partial.aggs.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
+        bool inserted;
+        WindowKeyAgg& run = st.running.FindOrInsert(key, &inserted);
+        if (run.weight == 0) ++st.live_keys;  // partials carry weight > 0
+        run.Merge(agg);
+      });
     }
     st.history.push_back(std::move(partial));
 
@@ -681,13 +684,15 @@ class SparkSut : public driver::Sut {
                                      static_cast<double>(old.aggs.size());
         co_await w.cpu().Use(CostUs(evict_cost_us));
         if (recovery_) job.cpu_us[widx] += evict_cost_us;
-        for (const auto& [key, agg] : old.aggs) {
-          auto it = st.running.find(key);
-          if (it == st.running.end()) continue;
-          it->second.sum -= agg.sum;
-          it->second.weight -= agg.weight;
-          if (it->second.weight == 0) st.running.erase(it);
-        }
+        old.aggs.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
+          WindowKeyAgg* run = st.running.Find(key);  // every partial was folded in
+          run->sum -= agg.sum;
+          run->weight -= agg.weight;
+          if (run->weight == 0) {
+            *run = WindowKeyAgg{};  // folds exactly like a fresh entry
+            --st.live_keys;
+          }
+        });
       }
       st.history.pop_front();
     }
@@ -702,7 +707,7 @@ class SparkSut : public driver::Sut {
         heap += static_cast<int64_t>(p.tuples) * kCachedRddBytesPerTuple;
       }
     }
-    heap += static_cast<int64_t>(st.running.size()) * kPartialHeapBytes;
+    heap += static_cast<int64_t>(st.live_keys) * kPartialHeapBytes;
     SetPartitionHeap(r, heap);
 
     // Window evaluation at slide boundaries. Spark Streaming computes
@@ -803,13 +808,14 @@ class SparkSut : public driver::Sut {
     if (aggregation && config_.inverse_reduce) {
       // Running aggregate is already current; only emission work remains.
       eval_cost_us = config_.reduce_entry_cost_us *
-                     static_cast<double>(st.running.size()) * overhead_ * slow;
-      outs.reserve(st.running.size());
-      for (const auto& [key, agg] : st.running) {
-        if (agg.weight == 0) continue;
+                     static_cast<double>(st.live_keys) * overhead_ * slow;
+      outs.reserve(st.live_keys);
+      st.running.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
+        if (agg.weight == 0) return;
         outs.push_back({agg.max_event_time, agg.max_ingest_time, key, agg.sum, 1,
                         agg.lineage, window_end});
-      }
+      });
+      engine::SortOutputs(outs);
     } else {
       std::vector<const BucketPartial*> window;
       uint64_t window_tuples = 0;

@@ -539,14 +539,26 @@ std::vector<Record> InOrderStream(uint64_t seed, int n, SimTime span, uint64_t k
 
 /// Feeds `recs` in order, firing at the running max event time now and
 /// then (every record below it has been added), then flushes with the
-/// final watermark. Returns the outputs and the total reported work.
+/// final watermark. Each boundary's appended outputs must come out in
+/// (max_event_time, key) order, as Flink's and Storm's do. Returns the
+/// outputs and the total reported work.
 std::vector<OutputRecord> RunBuckets(BucketWindowState& state,
                                      const std::vector<Record>& recs,
                                      uint64_t* work = nullptr) {
   std::vector<OutputRecord> outs;
   uint64_t total = 0;
   const auto fire = [&](SimTime frontier) {
-    while (const std::optional<uint64_t> w = state.FireNext(frontier, &outs)) total += *w;
+    for (;;) {
+      const size_t first = outs.size();
+      const std::optional<uint64_t> w = state.FireNext(frontier, &outs);
+      if (!w) break;
+      total += *w;
+      EXPECT_TRUE(std::is_sorted(
+          outs.begin() + static_cast<ptrdiff_t>(first), outs.end(),
+          [](const OutputRecord& a, const OutputRecord& b) {
+            return std::tie(a.max_event_time, a.key) < std::tie(b.max_event_time, b.key);
+          }));
+    }
   };
   for (size_t i = 0; i < recs.size(); ++i) {
     EXPECT_EQ(state.Add(recs[i]).window_updates, 1);

@@ -91,6 +91,9 @@ struct TrialSpec {
   // each barrier also snapshots task state and commits the sink.
   SimTime checkpoint_interval = 0;
   bool recovery = false;
+  // Spark's inverse reduce: a running per-key aggregate that adds each
+  // job's partial and subtracts the one leaving the window.
+  bool spark_inverse_reduce = false;
 };
 
 Pinned RunTrial(Engine engine, int batch, const TrialSpec& spec) {
@@ -101,9 +104,10 @@ Pinned RunTrial(Engine engine, int batch, const TrialSpec& spec) {
   config.output_listener = [&outs](const engine::OutputRecord& o) { outs.push_back(o); };
   uint64_t events = 0;
   const engine::QueryConfig query{spec.kind, {}};
-  driver::SutFactory inner = workloads::MakeEngineFactory(engine, query);
+  workloads::EngineTuning tuning;
+  tuning.spark_inverse_reduce = spec.spark_inverse_reduce;
+  driver::SutFactory inner = workloads::MakeEngineFactory(engine, query, tuning);
   if (spec.checkpoint_interval > 0) {
-    workloads::EngineTuning tuning;
     tuning.recovery = spec.recovery;
     engines::FlinkConfig flink = workloads::CalibratedFlink(query, tuning);
     flink.checkpoint_interval = spec.checkpoint_interval;
@@ -146,6 +150,16 @@ TEST(PinnedTrialTest, SparkBatch1) {
 }
 TEST(PinnedTrialTest, SparkBatch32) {
   ExpectPinned(Engine::kSpark, 32, {381628, 3759, 0xb800d2c185638718});
+}
+
+// Spark's inverse reduce keeps one running aggregate per reduce partition
+// and evicts each job's partial once it leaves the window: the trial's
+// windows fill and slide, so keys both join and leave the running state.
+// The value predates the running aggregate's move from std::unordered_map
+// to GroupedKeyMap.
+TEST(PinnedTrialTest, SparkInverseReduceBatch1) {
+  ExpectPinned(Engine::kSpark, 1, {403676, 3758, 0x618daedabcb0200e},
+               {engine::QueryKind::kAggregation, 3e5, 0, false, true});
 }
 
 // The join at a rate every engine sustains without failure (the naive
