@@ -16,7 +16,16 @@
 // engine::*WindowState the DES engines use (or the Spark model's
 // event-time bucket partials) and fire on the combined watermark; the
 // sink measures wall-clock latency through the same LatencySink the DES
-// driver uses, via the des::TimeSource seam.
+// driver uses, via the des::TimeSource seam. Each box is one stage type
+// (source, task, sink) in pipeline.cc; a task stage is one incarnation of
+// a durable task slot, so a supervised restart builds a fresh one.
+//
+// Task counters (rt.task.records / late_tuples / fired_outputs and the
+// profiler's task records) count each record once across restarts: every
+// incarnation folds them at exit, crash included, and a replayed envelope
+// is applied again but not counted again. fired_outputs counts outputs
+// that reached the sink ring, so the task sums equal
+// RtResult::input_records and output_records (shuffle_combine off).
 //
 // What carries over from a same-seed DES run and what doesn't:
 //   exact      — record sequence, window contents, the output multiset of

@@ -77,10 +77,26 @@ uint64_t CanonicalDigest(std::vector<engine::OutputRecord> outs) {
   return h;
 }
 
+// Digest of every worker's CPU-utilisation series (sample times and value
+// bits): the simulated CPU charges, which outputs do not carry.
+uint64_t CpuDigest(const std::vector<driver::TimeSeries>& series) {
+  uint64_t h = series.size();
+  for (const driver::TimeSeries& worker : series) {
+    for (const auto& sample : worker.samples()) {
+      uint64_t value_bits;
+      std::memcpy(&value_bits, &sample.value, sizeof(value_bits));
+      h = Mix(h ^ static_cast<uint64_t>(sample.time));
+      h = Mix(h ^ value_bits);
+    }
+  }
+  return h;
+}
+
 struct Pinned {
   uint64_t events;
   uint64_t outputs;
   uint64_t digest;
+  uint64_t cpu_digest = 0;  // 0: not pinned
 };
 
 // One trial's shape beyond engine and batch size.
@@ -118,7 +134,8 @@ Pinned RunTrial(Engine engine, int batch, const TrialSpec& spec) {
         return std::make_unique<CountingSut>(inner(ctx), &events);
       });
   EXPECT_TRUE(result.failure.ok()) << result.failure.ToString();
-  return Pinned{events, outs.size(), CanonicalDigest(std::move(outs))};
+  return Pinned{events, outs.size(), CanonicalDigest(std::move(outs)),
+                CpuDigest(result.worker_cpu_util)};
 }
 
 // The aggregation values predate the timing-wheel scheduler, which runs
@@ -131,6 +148,10 @@ void ExpectPinned(Engine engine, int batch, const Pinned& want,
   EXPECT_EQ(got.events, want.events);
   EXPECT_EQ(got.outputs, want.outputs);
   EXPECT_EQ(got.digest, want.digest) << std::hex << "digest 0x" << got.digest;
+  if (want.cpu_digest != 0) {
+    EXPECT_EQ(got.cpu_digest, want.cpu_digest)
+        << std::hex << "cpu digest 0x" << got.cpu_digest;
+  }
 }
 
 TEST(PinnedTrialTest, FlinkBatch1) {
@@ -156,9 +177,11 @@ TEST(PinnedTrialTest, SparkBatch32) {
 // and evicts each job's partial once it leaves the window: the trial's
 // windows fill and slide, so keys both join and leave the running state.
 // The value predates the running aggregate's move from std::unordered_map
-// to GroupedKeyMap.
+// to GroupedKeyMap. The CPU digest covers what the outputs cannot show:
+// the live-key count scales each window's emission charge.
 TEST(PinnedTrialTest, SparkInverseReduceBatch1) {
-  ExpectPinned(Engine::kSpark, 1, {403676, 3758, 0x618daedabcb0200e},
+  ExpectPinned(Engine::kSpark, 1,
+               {403676, 3758, 0x618daedabcb0200e, 0x24357dc142b6a90d},
                {engine::QueryKind::kAggregation, 3e5, 0, false, true});
 }
 

@@ -12,11 +12,13 @@
 // runs unpaced (fast) while the faulty run paces so injection times land
 // at deterministic stream positions on any host speed (CI, TSan).
 #include <cstdint>
+#include <string>
 
 #include "chaos/fault_schedule.h"
 #include "chaos/recovery.h"
 #include "engine/query.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "rt/pipeline.h"
 #include "workloads/realtime.h"
 
@@ -65,12 +67,44 @@ rt::RtResult RunWithFaults(
   return rt::RunRtPipeline(config);
 }
 
+/// Counts one run in the process registry: enabled and zeroed on entry,
+/// disabled on exit so the rest of the binary runs with it off.
+class RegistryScope {
+ public:
+  RegistryScope() {
+    obs::Registry::Default().ResetValues();
+    obs::Registry::Default().set_enabled(true);
+  }
+  ~RegistryScope() { obs::Registry::Default().set_enabled(false); }
+  RegistryScope(const RegistryScope&) = delete;
+  RegistryScope& operator=(const RegistryScope&) = delete;
+};
+
+/// A counter summed over all its label sets.
+uint64_t CounterSum(const std::string& name) {
+  uint64_t sum = 0;
+  for (const obs::MetricRow& row : obs::Registry::Default().Snapshot()) {
+    if (row.name == name) sum += static_cast<uint64_t>(row.value);
+  }
+  return sum;
+}
+
+/// Task counters count each record once across incarnations: a replayed
+/// envelope's records are not counted again, and an output counts when it
+/// reaches the sink ring (so at-least-once duplicates count, and outputs
+/// a crash lost before their commit do not).
+void ExpectTaskCountsOnce(const rt::RtResult& result) {
+  EXPECT_EQ(CounterSum("rt.task.records"), result.input_records);
+  EXPECT_EQ(CounterSum("rt.task.fired_outputs"), result.output_records);
+}
+
 // -- Delivery guarantees under a mid-run crash -------------------------------
 
 TEST(RtChaosDeliveryTest, FlinkCrashRecoversExactlyOnce) {
   const auto oracle = OracleOutputs(Engine::kFlink);
   chaos::FaultSchedule faults;
   faults.Crash("w1", Millis(2800), /*restart_delay=*/0);
+  const RegistryScope registry;  // counts the faulty run only
   rt::RtResult result = RunWithFaults(Engine::kFlink, faults);
   ASSERT_TRUE(result.failure.ok()) << result.failure.ToString();
   EXPECT_EQ(result.restarts, 1);
@@ -86,6 +120,7 @@ TEST(RtChaosDeliveryTest, FlinkCrashRecoversExactlyOnce) {
   EXPECT_GE(result.recovery.crash_time, 0);
   EXPECT_GE(result.recovery.restart_time, result.recovery.crash_time);
   EXPECT_GE(result.recovery.recovery_time, 0);
+  ExpectTaskCountsOnce(result);
 }
 
 // The join twin: the checkpoint snapshots and restores the join buffers
@@ -95,6 +130,7 @@ TEST(RtChaosDeliveryTest, FlinkJoinCrashRecoversExactlyOnce) {
   const auto oracle = OracleOutputs(Engine::kFlink, engine::QueryKind::kJoin);
   chaos::FaultSchedule faults;
   faults.Crash("w1", Millis(2800), /*restart_delay=*/0);
+  const RegistryScope registry;
   rt::RtResult result = RunWithFaults(Engine::kFlink, faults, /*paced=*/true,
                                       engine::QueryKind::kJoin);
   ASSERT_TRUE(result.failure.ok()) << result.failure.ToString();
@@ -107,12 +143,14 @@ TEST(RtChaosDeliveryTest, FlinkJoinCrashRecoversExactlyOnce) {
       << "flink join must not re-emit committed outputs";
   EXPECT_EQ(result.recovery.lost, 0u)
       << "flink join must not lose uncommitted windows";
+  ExpectTaskCountsOnce(result);
 }
 
 TEST(RtChaosDeliveryTest, SparkCrashRecoversExactlyOnce) {
   const auto oracle = OracleOutputs(Engine::kSpark);
   chaos::FaultSchedule faults;
   faults.Crash("w2", Millis(2800), /*restart_delay=*/0);
+  const RegistryScope registry;  // counts the faulty run only
   rt::RtResult result = RunWithFaults(Engine::kSpark, faults);
   ASSERT_TRUE(result.failure.ok()) << result.failure.ToString();
   EXPECT_EQ(result.restarts, 1);
@@ -122,12 +160,14 @@ TEST(RtChaosDeliveryTest, SparkCrashRecoversExactlyOnce) {
   EXPECT_EQ(result.recovery.duplicates, 0u)
       << "spark model must not re-evaluate committed boundaries";
   EXPECT_EQ(result.recovery.lost, 0u);
+  ExpectTaskCountsOnce(result);
 }
 
 TEST(RtChaosDeliveryTest, StormCrashReplaysAtLeastOnce) {
   const auto oracle = OracleOutputs(Engine::kStorm);
   chaos::FaultSchedule faults;
   faults.Crash("w1", Millis(2800), /*restart_delay=*/0);
+  const RegistryScope registry;  // counts the faulty run only
   rt::RtResult result = RunWithFaults(Engine::kStorm, faults);
   ASSERT_TRUE(result.failure.ok()) << result.failure.ToString();
   EXPECT_EQ(result.restarts, 1);
@@ -139,6 +179,32 @@ TEST(RtChaosDeliveryTest, StormCrashReplaysAtLeastOnce) {
          "cost of at-least-once";
   EXPECT_EQ(result.recovery.lost, 0u)
       << "at-least-once may duplicate but must not lose";
+  ExpectTaskCountsOnce(result);
+}
+
+// Retained rings smaller than one checkpoint interval's envelopes: the
+// unpaced sources fill them and block until the transactional task acks,
+// and the task, having drained them, acks only when it commits while idle
+// (the pop's checkpoint deadline). The crash lies past the horizon, so it
+// only switches retention on. Were that commit lost, the run would stall
+// until the watchdog fails it.
+TEST(RtChaosDeliveryTest, FlinkIdleCheckpointFreesSmallRetainedRings) {
+  const auto oracle = OracleOutputs(Engine::kFlink);
+  chaos::FaultSchedule faults;
+  faults.Crash("w1", Seconds(60), /*restart_delay=*/0);
+  rt::RtPipelineConfig config = ChaosConfig(Engine::kFlink, /*paced=*/false);
+  config.faults = faults;
+  config.ring_capacity = 4;
+  config.chaos.checkpoint_every = Millis(2);
+  config.watchdog_timeout = Seconds(3);
+  rt::RtResult result = rt::RunRtPipeline(config);
+  ASSERT_TRUE(result.failure.ok()) << result.failure.ToString();
+  EXPECT_EQ(result.restarts, 0);
+  EXPECT_GT(result.checkpoints, 1u);
+  chaos::RecoveryTracker::ApplyOracle(result.observed_outputs, oracle,
+                                      &result.recovery);
+  EXPECT_EQ(result.recovery.duplicates, 0u);
+  EXPECT_EQ(result.recovery.lost, 0u);
 }
 
 // -- Supervisor edge cases ---------------------------------------------------

@@ -5,7 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <string>
 #include <thread>
+#include <vector>
+
+#include "rt/pipeline.h"
 
 namespace sdps::rt {
 namespace {
@@ -133,6 +137,38 @@ TEST(ProfilerTest, DestructorStopsSampler) {
   profiler->AddStage("short-lived");
   profiler->Start();
   profiler.reset();  // must join the sampler without hanging
+}
+
+// The pipeline's stage contract with the profiler (perfbench's per-layer
+// report prefix-matches these names): one stage per source, per task and
+// the sink, in that order, and each layer's records add up to the run's
+// totals.
+TEST(RtProfileTest, ReportsEveryStageOnceWithRecordTotals) {
+  RtPipelineConfig config;
+  config.total_rate = 2e5;
+  config.duration = Seconds(2);
+  config.num_sources = 2;
+  config.num_tasks = 3;
+  config.pin_threads = false;
+  config.profile = true;
+  const RtResult result = RunRtPipeline(config);
+  ASSERT_TRUE(result.failure.ok()) << result.failure.ToString();
+  ASSERT_TRUE(result.profiled);
+  ASSERT_GT(result.output_records, 0u);
+
+  std::vector<std::string> names;
+  uint64_t src_records = 0, task_records = 0, sink_records = 0;
+  for (const Profiler::StageReport& stage : result.profile.stages) {
+    names.push_back(stage.name);
+    if (stage.name.starts_with("rt-src-")) src_records += stage.records;
+    if (stage.name.starts_with("rt-task-")) task_records += stage.records;
+    if (stage.name == "rt-sink") sink_records += stage.records;
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"rt-src-0", "rt-src-1", "rt-task-0",
+                                             "rt-task-1", "rt-task-2", "rt-sink"}));
+  EXPECT_EQ(src_records, result.input_records);
+  EXPECT_EQ(task_records, result.input_records);
+  EXPECT_EQ(sink_records, result.output_records);
 }
 
 }  // namespace
