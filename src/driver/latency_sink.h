@@ -76,7 +76,6 @@ class LatencySink {
     event_latency_.Add(event_latency);
     processing_latency_.Add(proc_latency);
     event_sketch_.Observe(ToSeconds(event_latency));
-    processing_sketch_.Observe(ToSeconds(proc_latency));
     event_series_.Add(now, ToSeconds(event_latency));
     processing_series_.Add(now, ToSeconds(proc_latency));
   }
@@ -86,12 +85,9 @@ class LatencySink {
   const TimeSeries& event_latency_series() const { return event_series_; }
   const TimeSeries& processing_latency_series() const { return processing_series_; }
 
-  /// Streaming sketches: p50/p95/p99 available mid-run at fixed memory
+  /// Streaming sketch: p50/p95/p99 available mid-run at fixed memory
   /// (the exact histograms above only sort on demand at the end).
   const obs::QuantileSketch& event_latency_sketch() const { return event_sketch_; }
-  const obs::QuantileSketch& processing_latency_sketch() const {
-    return processing_sketch_;
-  }
 
   /// Highest contributor event-time seen across all outputs, -1 before
   /// the first output. `now - frontier` is the sink's watermark lag.
@@ -113,7 +109,6 @@ class LatencySink {
   Histogram event_latency_;
   Histogram processing_latency_;
   obs::QuantileSketch event_sketch_;
-  obs::QuantileSketch processing_sketch_;
   TimeSeries event_series_;
   TimeSeries processing_series_;
   chaos::RecoveryTracker* recovery_ = nullptr;

@@ -372,6 +372,38 @@ void BucketPartial::Merge(uint64_t key, const WindowKeyAgg& agg) {
   max_ingest_time = std::max(max_ingest_time, agg.max_ingest_time);
 }
 
+void RunningAggregate::Fold(const BucketPartial& partial) {
+  partial.aggs.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
+    bool inserted;
+    WindowKeyAgg& run = running_.FindOrInsert(key, &inserted);
+    if (run.weight == 0) ++live_keys_;  // partials carry weight > 0
+    run.Merge(agg);
+  });
+}
+
+void RunningAggregate::Evict(const BucketPartial& partial) {
+  partial.aggs.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
+    WindowKeyAgg* run = running_.Find(key);  // every partial was folded in
+    run->sum -= agg.sum;
+    run->weight -= agg.weight;
+    if (run->weight == 0) {
+      *run = WindowKeyAgg{};  // folds exactly like a fresh entry
+      --live_keys_;
+    }
+  });
+}
+
+void RunningAggregate::Emit(SimTime window_end, std::vector<OutputRecord>* out) const {
+  const size_t first = out->size();
+  out->reserve(first + live_keys_);
+  running_.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
+    if (agg.weight == 0) return;
+    out->push_back({agg.max_event_time, agg.max_ingest_time, key, agg.sum, 1,
+                    agg.lineage, window_end});
+  });
+  SortOutputs(*out, first);
+}
+
 BucketWindowState::BucketWindowState(const QueryConfig& query, SimTime interval,
                                      int64_t resume_boundary)
     : kind_(query.kind),

@@ -37,11 +37,13 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "engine/group_hash.h"
 #include "engine/query.h"
 #include "engine/record.h"
+#include "engine/watermark.h"
 #include "engine/window.h"
 
 namespace sdps::engine {
@@ -346,6 +348,30 @@ struct BucketPartial {
   void Merge(uint64_t key, const WindowKeyAgg& agg);
 };
 
+/// Spark's inverse-reduce window (the paper's "Inverse Reduce Function"
+/// fix for Experiment 3): one running per-key aggregate over the job
+/// partials inside the window. Each job's partial is folded in when the
+/// job runs and subtracted when it leaves the window. The map is
+/// insert-only: a key whose weight returns to 0 is reset in place, so it
+/// folds again exactly like a fresh key.
+class RunningAggregate {
+ public:
+  /// Folds in a job's partial.
+  void Fold(const BucketPartial& partial);
+  /// Subtracts a partial Fold() took in. The max times are kept: event
+  /// time grows with the job index, so the newer partials hold the max.
+  void Evict(const BucketPartial& partial);
+  /// Appends one output per live key, closing at `window_end`, in
+  /// SortOutputs order.
+  void Emit(SimTime window_end, std::vector<OutputRecord>* out) const;
+  /// Keys of weight > 0.
+  size_t live_keys() const { return live_keys_; }
+
+ private:
+  GroupedKeyMap<WindowKeyAgg> running_;
+  size_t live_keys_ = 0;
+};
+
 /// Spark's event-time bucket window (deterministic batching): bucket b
 /// holds the records with event time in [(b-1)*interval, b*interval), and
 /// boundary nb (a multiple of slide/interval) evaluates the window of
@@ -404,6 +430,23 @@ class BucketWindowState {
   int64_t slide_buckets_;
   int64_t next_boundary_;
   std::map<int64_t, BucketPartial> buckets_;
+};
+
+/// A task's logical window state, one alternative per engine model and
+/// query: incremental aggregates (Flink), buffered windows (Storm), the
+/// join buffers (Flink and Storm), bucket partials (Spark).
+using WindowState =
+    std::variant<AggWindowState, BufferedWindowState, JoinWindowState, BucketWindowState>;
+
+/// One window task's state, owned by the SUT rather than by the task, so a
+/// checkpoint restore or a worker restart can replace it while the task
+/// runs on. Assigning a slot holding the same alternative keeps the state
+/// object in place: a task's reference to it stays valid.
+struct TaskSlot {
+  WindowState state;
+  WatermarkTracker tracker;
+  /// Window-state bytes last charged to the worker heap (Storm).
+  int64_t charged_bytes = 0;
 };
 
 }  // namespace sdps::engine

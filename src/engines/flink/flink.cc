@@ -1,7 +1,6 @@
 #include "engines/flink/flink.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -19,6 +18,7 @@
 #include "engine/telemetry.h"
 #include "engine/watermark.h"
 #include "engine/window_state.h"
+#include "engines/dataflow.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -67,13 +67,17 @@ class FlinkSut : public driver::Sut {
         cluster.worker(0).config().memory_bytes / (2 * config_.tasks_per_worker);
 
     // Watermarks are generated per ingest connection (queue): the sources
-    // of one queue share a max-event-time clock.
-    queue_max_event_.assign(static_cast<size_t>(num_queues_), engine::kNoWatermark);
-    source_unsent_floor_.assign(static_cast<size_t>(num_sources_), kNoUnsentFloor);
-    queue_active_sources_.assign(static_cast<size_t>(num_queues_), 0);
-    for (int s = 0; s < num_sources_; ++s) {
-      ++queue_active_sources_[static_cast<size_t>(QueueOfSource(s))];
-    }
+    // of one queue share one event-time clock.
+    clock_ = engine::ConnectionClock(num_queues_, num_sources_,
+                                     [this](int s) { return QueueOfSource(s); });
+    // With recovery on, a restore swaps the last checkpoint's slots in
+    // while the tasks keep running.
+    const bool agg = config_.query.kind == engine::QueryKind::kAggregation;
+    const engine::WindowAssigner assigner(config_.query.window);
+    slots_.assign(static_cast<size_t>(num_tasks_),
+                  {agg ? engine::WindowState(engine::AggWindowState(assigner))
+                       : engine::WindowState(engine::JoinWindowState(assigner)),
+                   engine::WatermarkTracker(num_queues_)});
 
     metrics_ = engine::EngineMetrics(name());
     obs_checkpoints_ = obs::Registry::Default().GetCounter(
@@ -86,32 +90,15 @@ class FlinkSut : public driver::Sut {
     recovery_ = config_.recovery_enabled;
     if (recovery_) {
       for (auto* q : ctx.queues) q->set_retain(true);
-      const engine::WindowAssigner assigner(config_.query.window);
-      const bool agg = config_.query.kind == engine::QueryKind::kAggregation;
-      for (int t = 0; t < num_tasks_; ++t) {
-        if (agg) {
-          task_agg_.emplace_back(assigner);
-        } else {
-          task_join_.emplace_back(assigner);
-        }
-        task_trackers_.emplace_back(num_queues_);
-      }
       task_commit_id_.assign(static_cast<size_t>(num_tasks_), 0);
       task_done_.assign(static_cast<size_t>(num_tasks_), 0);
-      wm_last_sent_.assign(static_cast<size_t>(num_queues_), engine::kNoWatermark);
       // Checkpoint 0: the empty initial state. A crash before the first
       // completed checkpoint restores this and replays everything.
       last_completed_ = std::make_unique<Checkpoint>();
       last_completed_->cursors.assign(static_cast<size_t>(num_queues_), 0);
-      last_completed_->queue_max_event.assign(static_cast<size_t>(num_queues_),
-                                              engine::kNoWatermark);
+      last_completed_->clock = clock_;
       for (int t = 0; t < num_tasks_; ++t) {
-        if (agg) {
-          last_completed_->agg.emplace(t, task_agg_[static_cast<size_t>(t)]);
-        } else {
-          last_completed_->join.emplace(t, task_join_[static_cast<size_t>(t)]);
-        }
-        last_completed_->trackers.emplace(t, task_trackers_[static_cast<size_t>(t)]);
+        last_completed_->slots.emplace(t, slots_[static_cast<size_t>(t)]);
       }
       obs_restores_ = obs::Registry::Default().GetCounter(
           "engine.recovery.restores", {{"engine", name()}});
@@ -141,9 +128,8 @@ class FlinkSut : public driver::Sut {
       ctx.sim->Spawn(CheckpointCoordinator());
     }
     for (int t = 0; t < num_tasks_; ++t) {
-      ctx.sim->Spawn(config_.query.kind == engine::QueryKind::kAggregation
-                         ? WindowTask(t, task_agg_)
-                         : WindowTask(t, task_join_));
+      ctx.sim->Spawn(agg ? WindowTask<engine::AggWindowState>(t)
+                         : WindowTask<engine::JoinWindowState>(t));
     }
     return Status::OK();
   }
@@ -192,12 +178,9 @@ class FlinkSut : public driver::Sut {
     const int queue_idx = QueueOfSource(s);
     cluster::Node& queue_node = ctx_.cluster->driver(queue_idx);
     driver::DriverQueue& queue = *ctx_.queues[static_cast<size_t>(queue_idx)];
-    SimTime& queue_max_event = queue_max_event_[static_cast<size_t>(queue_idx)];
-    SimTime& unsent_floor = source_unsent_floor_[static_cast<size_t>(s)];
 
     engine::RecordBatch recs;
-    std::vector<int64_t> bytes;
-    std::vector<SimTime> arrivals;
+    IngestHop ingest;
     std::vector<SimTime> costs;
     cluster::TransferGroups remote;  // wire bytes of remote records, per worker
     // Columnar shuffle state (see engine/columnar.h): the key lane feeds
@@ -217,26 +200,18 @@ class FlinkSut : public driver::Sut {
       // until the last record lands in its channel: the shuffle sends in
       // destination-major (not event-time) order, so only the whole-run
       // floor is a safe watermark bound.
-      unsent_floor = recs[0].event_time;
+      clock_.Hold(s, recs[0].event_time);
       // Pop-time restore epoch: if a crash hits while these records are in
       // flight, the receiving task drops the (now stale) messages and the
       // queue replays the records instead.
       const int64_t rec_epoch = epoch_;
       if (recovery_) in_flight_ += static_cast<int>(k);
-      // Ingest transfer: driver node -> this worker, one coalesced run;
-      // arrivals[i] is the exact per-record link completion time.
-      bytes.clear();
-      arrivals.resize(k);  // SendBatch writes every arrival
-      for (const Record& rec : recs) bytes.push_back(engine::WireBytes(rec));
-      co_await ctx_.cluster->SendBatch(queue_node, my_worker, bytes.data(), k,
-                                       arrivals.data());
+      co_await ingest.Move(*ctx_.cluster, queue_node, my_worker, recs);
       costs.clear();
       int64_t alloc = 0;
-      for (size_t i = 0; i < k; ++i) {
-        recs[i].ingest_time = arrivals[i];
-        obs::LineageTracker::Default().StampIngested(recs[i].lineage, arrivals[i]);
-        costs.push_back(CostUs(config_.source_cost_us * recs[i].weight));
-        alloc += config_.alloc_bytes_per_tuple * recs[i].weight;
+      for (const Record& rec : recs) {
+        costs.push_back(CostUs(config_.source_cost_us * rec.weight));
+        alloc += config_.alloc_bytes_per_tuple * rec.weight;
       }
       co_await my_worker.cpu().UseBatch(costs);
       my_worker.RecordAllocation(alloc);
@@ -286,9 +261,8 @@ class FlinkSut : public driver::Sut {
           const Record& rec = run[*it];
           // A stale record must not advance the (restored) event-time
           // clock: its replayed copy re-advances it on the re-pop.
-          if ((!recovery_ || rec_epoch == epoch_) &&
-              rec.event_time > queue_max_event) {
-            queue_max_event = rec.event_time;
+          if (!recovery_ || rec_epoch == epoch_) {
+            clock_.Advance(queue_idx, rec.event_time);
           }
           Message msg = Message::MakeRecord(rec);
           msg.epoch = rec_epoch;
@@ -297,48 +271,27 @@ class FlinkSut : public driver::Sut {
           if (recovery_) --in_flight_;
           if (!sent) {
             // Topology shut down mid-run: release the never-sent remainder.
-            unsent_floor = kNoUnsentFloor;
+            clock_.Release(s);
             if (recovery_) in_flight_ -= static_cast<int>(sends_left);
             co_return;
           }
         }
       }
-      unsent_floor = kNoUnsentFloor;
+      clock_.Release(s);
     }
-    --queue_active_sources_[static_cast<size_t>(queue_idx)];
+    clock_.Finish(s);
   }
 
   /// Periodically broadcasts the connection's event-time clock to every
   /// window task; emits a final watermark (flushing all open windows) once
   /// the connection's sources have drained the queue.
   Task<> WatermarkProcess(int q) {
-    // With recovery on, the high-water mark lives in a SUT-owned slot so a
-    // restore can rewind it (forcing a re-broadcast of the restored clock).
-    SimTime local_last_sent = engine::kNoWatermark;
-    SimTime& last_sent =
-        recovery_ ? wm_last_sent_[static_cast<size_t>(q)] : local_last_sent;
     for (;;) {
       co_await des::Delay(*ctx_.sim, config_.watermark_interval);
-      if (queue_active_sources_[static_cast<size_t>(q)] == 0) {
-        co_await Broadcast(Message::MakeWatermark(q, kFinalWatermark));
-        co_return;
-      }
-      SimTime wm = queue_max_event_[static_cast<size_t>(q)];
-      if (wm == engine::kNoWatermark) continue;
-      // A source may hold popped-but-undelivered records below the shared
-      // clock: other sources advanced it while this one waited on its CPU,
-      // a link or a full channel. Per-queue event times are monotone, so
-      // capping the broadcast below the oldest such record keeps every
-      // watermark behind all records it could retire.
-      for (int s = 0; s < num_sources_; ++s) {
-        if (QueueOfSource(s) != q) continue;
-        const SimTime floor = source_unsent_floor_[static_cast<size_t>(s)];
-        if (floor != kNoUnsentFloor && floor - 1 < wm) wm = floor - 1;
-      }
-      wm -= config_.allowed_lateness;
-      if (wm == last_sent) continue;
-      last_sent = wm;
-      co_await Broadcast(Message::MakeWatermark(q, wm));
+      const std::optional<SimTime> wm = clock_.Next(q, config_.allowed_lateness);
+      if (!wm) continue;
+      co_await Broadcast(Message::MakeWatermark(q, *wm));
+      if (*wm == kFinalWatermark) co_return;
     }
   }
 
@@ -378,7 +331,7 @@ class FlinkSut : public driver::Sut {
       cp->id = id;
       cp->remaining = num_tasks_;
       for (auto* q : ctx_.queues) cp->cursors.push_back(q->popped_records());
-      cp->queue_max_event = queue_max_event_;
+      cp->clock = clock_;
       pending_ = std::move(cp);
       // The pause holds through the whole broadcast: no record can be
       // popped and overtake a barrier still being injected.
@@ -453,16 +406,10 @@ class FlinkSut : public driver::Sut {
   /// to records is exact; a trigger charges the state's fire-time work
   /// (Fire) before emitting.
   template <typename State>
-  Task<> WindowTask(int t, std::vector<State>& recovery_states) {
+  Task<> WindowTask(int t) {
     cluster::Node& my_worker = WorkerOfTask(t);
-    engine::WindowAssigner assigner(config_.query.window);
-    State local_state(assigner);
-    engine::WatermarkTracker local_tracker(num_queues_);
-    // With recovery on, state lives in SUT-owned slots so a restore can
-    // swap the last checkpoint in while the coroutine keeps running.
-    State& state = recovery_ ? recovery_states[static_cast<size_t>(t)] : local_state;
-    engine::WatermarkTracker& tracker =
-        recovery_ ? task_trackers_[static_cast<size_t>(t)] : local_tracker;
+    engine::TaskSlot& slot = slots_[static_cast<size_t>(t)];
+    State& state = std::get<State>(slot.state);
     Channel<Message>& in = *channels_[static_cast<size_t>(t)];
     obs::Tracer& tracer = obs::Tracer::Default();
     const obs::TrackId track =
@@ -512,8 +459,8 @@ class FlinkSut : public driver::Sut {
           if (recovery_) {
             OnTaskSnapshot(t, static_cast<uint64_t>(msg.watermark), msg.epoch);
           }
-        } else if (tracker.Update(msg.origin, msg.watermark)) {
-          const Fired fired = Fire(state, tracker.current());
+        } else if (slot.tracker.Update(msg.origin, msg.watermark)) {
+          const Fired fired = Fire(state, slot.tracker.current());
           if (fired.work > 0 || !fired.outputs.empty()) {
             metrics_.windows_fired->Add(1);
             obs::ScopedSpan span(tracer, track, "window.fire");
@@ -524,7 +471,7 @@ class FlinkSut : public driver::Sut {
               co_await EmitOutputs(my_worker, fired.outputs, t, msg.epoch);
             }
           }
-          if (recovery_) OnTaskWatermark(t, tracker.current());
+          if (recovery_) OnTaskWatermark(t, slot.tracker.current());
         }
       }
     }
@@ -535,15 +482,7 @@ class FlinkSut : public driver::Sut {
     // A fire computed from pre-restore state is a phantom of the dead
     // execution: the restored state will re-fire the same windows.
     if (recovery_ && fire_epoch != epoch_) co_return;
-    for (const auto& out : outs) {
-      obs::LineageTracker::Default().StampFired(out.lineage, ctx_.sim->now());
-    }
-    co_await from.cpu().Use(
-        CostUs(config_.emit_cost_us * static_cast<double>(outs.size())));
-    int64_t bytes = 0;
-    for (const auto& out : outs) bytes += engine::WireBytes(out);
-    cluster::Node& sink_node = ctx_.cluster->driver(0);
-    co_await ctx_.cluster->Send(from, sink_node, bytes);
+    co_await SinkHop(ctx_, from, outs, config_.emit_cost_us);
     if (!recovery_) {
       for (const auto& out : outs) ctx_.sink->Emit(out);
       co_return;
@@ -561,12 +500,7 @@ class FlinkSut : public driver::Sut {
     if (barrier_epoch != epoch_) return;  // barrier from a pre-restore epoch
     task_commit_id_[static_cast<size_t>(t)] = id;
     if (!pending_ || pending_->id != id) return;
-    if (config_.query.kind == engine::QueryKind::kAggregation) {
-      pending_->agg.insert_or_assign(t, task_agg_[static_cast<size_t>(t)]);
-    } else {
-      pending_->join.insert_or_assign(t, task_join_[static_cast<size_t>(t)]);
-    }
-    pending_->trackers.insert_or_assign(t, task_trackers_[static_cast<size_t>(t)]);
+    pending_->slots.insert_or_assign(t, slots_[static_cast<size_t>(t)]);
     if (--pending_->remaining == 0) CompleteCheckpoint();
   }
 
@@ -610,18 +544,11 @@ class FlinkSut : public driver::Sut {
     pending_.reset();
     uncommitted_.clear();
     const Checkpoint& cp = *last_completed_;
-    const bool agg = config_.query.kind == engine::QueryKind::kAggregation;
     for (int t = 0; t < num_tasks_; ++t) {
-      if (agg) {
-        task_agg_[static_cast<size_t>(t)] = cp.agg.at(t);
-      } else {
-        task_join_[static_cast<size_t>(t)] = cp.join.at(t);
-      }
-      task_trackers_[static_cast<size_t>(t)] = cp.trackers.at(t);
+      slots_[static_cast<size_t>(t)] = cp.slots.at(t);
       task_commit_id_[static_cast<size_t>(t)] = cp.id;
     }
-    queue_max_event_ = cp.queue_max_event;
-    std::fill(wm_last_sent_.begin(), wm_last_sent_.end(), engine::kNoWatermark);
+    clock_.Restore(cp.clock);
     for (auto* q : ctx_.queues) q->Replay();
   }
 
@@ -637,18 +564,8 @@ class FlinkSut : public driver::Sut {
   std::optional<engine::Partitioner> partitioner_;
   int64_t spill_threshold_bytes_ = 0;
   std::vector<std::unique_ptr<Channel<Message>>> channels_;
-  std::vector<SimTime> queue_max_event_;
-  /// Event time of the oldest record each source has popped but not yet
-  /// delivered into a task channel (kNoUnsentFloor when it holds none). A
-  /// source holds up to `batch_` records between pop and delivery (at
-  /// batch 1, the one it is charging CPU for or moving across a link), so
-  /// the shared queue clock can run ahead of undelivered records while
-  /// other sources keep popping; WatermarkProcess caps the broadcast below
-  /// this floor so a watermark can never overtake a popped record into its
-  /// channel.
-  static constexpr SimTime kNoUnsentFloor = std::numeric_limits<SimTime>::max();
-  std::vector<SimTime> source_unsent_floor_;
-  std::vector<int> queue_active_sources_;
+  engine::ConnectionClock clock_;
+  std::vector<engine::TaskSlot> slots_;  // one per window task
   uint64_t late_dropped_tuples_ = 0;
   uint64_t checkpoints_started_ = 0;
   int64_t snapshot_bytes_total_ = 0;
@@ -660,10 +577,8 @@ class FlinkSut : public driver::Sut {
     uint64_t id = 0;  // 0 = the initial empty checkpoint
     int remaining = 0;
     std::vector<uint64_t> cursors;  // per-queue popped_records() at the cut
-    std::vector<SimTime> queue_max_event;
-    std::map<int, engine::AggWindowState> agg;    // per task (agg query)
-    std::map<int, engine::JoinWindowState> join;  // per task (join query)
-    std::map<int, engine::WatermarkTracker> trackers;
+    engine::ConnectionClock clock;  // its delivered clocks are restored
+    std::map<int, engine::TaskSlot> slots;  // per task
   };
   bool recovery_ = false;
   int64_t epoch_ = 0;       // bumped on every restore
@@ -671,12 +586,8 @@ class FlinkSut : public driver::Sut {
   uint64_t next_checkpoint_id_ = 0;
   uint64_t restores_ = 0;
   int tasks_finished_ = 0;  // tasks that saw the final watermark
-  std::vector<engine::AggWindowState> task_agg_;
-  std::vector<engine::JoinWindowState> task_join_;
-  std::vector<engine::WatermarkTracker> task_trackers_;
   std::vector<uint64_t> task_commit_id_;  // last barrier id seen per task
   std::vector<char> task_done_;
-  std::vector<SimTime> wm_last_sent_;
   std::unique_ptr<Checkpoint> pending_;
   std::unique_ptr<Checkpoint> last_completed_;
   std::map<uint64_t, std::vector<engine::OutputRecord>> uncommitted_;

@@ -19,6 +19,7 @@
 #include "engine/telemetry.h"
 #include "engine/watermark.h"
 #include "engine/window_state.h"
+#include "engines/dataflow.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -119,10 +120,7 @@ struct SparkJob {
 
 struct PartitionState {
   std::deque<BucketPartial> history;  // one partial per job, newest at back
-  /// Inverse-reduce mode. The map is insert-only: a key whose weight
-  /// returns to 0 is reset in place, and live_keys counts weights > 0.
-  engine::GroupedKeyMap<WindowKeyAgg> running;
-  size_t live_keys = 0;
+  engine::RunningAggregate running;    // inverse-reduce mode
   int64_t heap_bytes = 0;
   /// Deterministic batching: the event-time bucket partials and boundary
   /// cursor. Replaces `history` in det mode.
@@ -275,8 +273,7 @@ class SparkSut : public driver::Sut {
     // the first record; the initial rate limit is uncapped anyway.
     double tokens_per_record = 0.0;
     engine::RecordBatch recs;
-    std::vector<int64_t> bytes;
-    std::vector<SimTime> arrivals;
+    IngestHop ingest;
     for (;;) {
       if (tokens_per_record > 0) co_await limiter.Acquire(tokens_per_record);
       if (!co_await queue.PopBatch(&recs, batch_)) break;
@@ -285,15 +282,9 @@ class SparkSut : public driver::Sut {
       if (k > 1) {
         co_await limiter.Acquire(tokens_per_record * static_cast<double>(k - 1));
       }
-      bytes.clear();
-      arrivals.resize(k);  // SendBatch writes every arrival
-      for (const Record& rec : recs) bytes.push_back(engine::WireBytes(rec));
-      co_await ctx_.cluster->SendBatch(queue_node, my_worker, bytes.data(), k,
-                                       arrivals.data());
-      for (size_t i = 0; i < k; ++i) {
-        recs[i].ingest_time = arrivals[i];
-        obs::LineageTracker::Default().StampIngested(recs[i].lineage, arrivals[i]);
-        if (!co_await buf.Send(recs[i])) co_return;
+      co_await ingest.Move(*ctx_.cluster, queue_node, my_worker, recs);
+      for (const Record& rec : recs) {
+        if (!co_await buf.Send(rec)) co_return;
       }
     }
     if (--fetchers_left_[static_cast<size_t>(r)] == 0) buf.Close();
@@ -529,7 +520,9 @@ class SparkSut : public driver::Sut {
     // exactly once, only after every (re)computation finished.
     for (int r = 0; r < num_reduce_; ++r) {
       auto& outs = job.staged[static_cast<size_t>(r)];
-      if (!outs.empty()) co_await EmitOutputs(WorkerOfReduce(r), outs);
+      if (outs.empty()) continue;
+      co_await SinkHop(ctx_, WorkerOfReduce(r), outs, config_.emit_cost_us);
+      for (const auto& out : outs) ctx_.sink->Emit(out);
     }
   }
 
@@ -549,6 +542,9 @@ class SparkSut : public driver::Sut {
     if (recovery_) job.cpu_us[static_cast<size_t>(block.home_worker)] += cost_us;
     w.RecordAllocation(config_.alloc_bytes_per_tuple *
                        static_cast<int64_t>(block.tuples));
+    for (const Record& rec : block.records) {
+      obs::LineageTracker::Default().StampOperator(rec.lineage, ctx_.sim->now());
+    }
 
     // Deterministic batching needs raw records on the reduce side (the
     // map-side combine would merge event-time buckets together). The
@@ -560,7 +556,6 @@ class SparkSut : public driver::Sut {
     if (map_combine) {
       out.combined.resize(static_cast<size_t>(num_reduce_));
       for (const Record& rec : block.records) {
-        obs::LineageTracker::Default().StampOperator(rec.lineage, ctx_.sim->now());
         bool inserted;
         out.combined[static_cast<size_t>((*partitioner_)(rec.key))]
             .FindOrInsert(rec.key, &inserted)
@@ -590,10 +585,6 @@ class SparkSut : public driver::Sut {
         for (int p = 0; p < num_reduce_; ++p) {
           if (plan.RunSize(p) > 0) {
             combiner.Reset();
-            for (const uint32_t* it = plan.Begin(p); it != plan.End(p); ++it) {
-              obs::LineageTracker::Default().StampOperator(
-                  block.records[*it].lineage, ctx_.sim->now());
-            }
             // Fold the whole destination run through the batched key
             // probe; index order matches the per-record loop.
             combiner.AddPermuted(block.records.data(), plan.Begin(p),
@@ -606,14 +597,18 @@ class SparkSut : public driver::Sut {
       } else {
         engine::GatherRows(block.records.data(), plan, &out.rows);
         out.run_offsets.assign(plan.offsets.begin(), plan.offsets.end());
-        for (const Record& rec : out.rows) {
-          obs::LineageTracker::Default().StampOperator(rec.lineage,
-                                                       ctx_.sim->now());
-        }
       }
     }
     block.records.clear();
     done.CountDown();
+  }
+
+  /// Under recovery, books CPU that reduce partition r charged to the
+  /// job's recompute bill.
+  void Bill(SparkJob& job, int r, double us) {
+    if (!recovery_) return;
+    job.cpu_us[static_cast<size_t>(r) %
+               static_cast<size_t>(ctx_.cluster->num_workers())] += us;
   }
 
   Task<> ShuffleTransfer(int from, int to, int64_t bytes, Latch& done) {
@@ -657,18 +652,11 @@ class SparkSut : public driver::Sut {
     const double merge_cost_us =
         config_.task_overhead_ms * 1000.0 + merge_cost * overhead_ * slow;
     co_await w.cpu().Use(CostUs(merge_cost_us));
-    const size_t widx =
-        static_cast<size_t>(r) % static_cast<size_t>(ctx_.cluster->num_workers());
-    if (recovery_) job.cpu_us[widx] += merge_cost_us;
+    Bill(job, r, merge_cost_us);
 
     // Inverse-reduce: fold into the running window aggregate.
     if (config_.inverse_reduce && config_.query.kind == engine::QueryKind::kAggregation) {
-      partial.aggs.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
-        bool inserted;
-        WindowKeyAgg& run = st.running.FindOrInsert(key, &inserted);
-        if (run.weight == 0) ++st.live_keys;  // partials carry weight > 0
-        run.Merge(agg);
-      });
+      st.running.Fold(partial);
     }
     st.history.push_back(std::move(partial));
 
@@ -677,22 +665,11 @@ class SparkSut : public driver::Sut {
       BucketPartial& old = st.history.front();
       if (config_.inverse_reduce &&
           config_.query.kind == engine::QueryKind::kAggregation) {
-        // Subtract the evicted batch (the paper's "Inverse Reduce
-        // Function" fix for Experiment 3). Max-timestamps stay correct
-        // because event-time grows with batch index.
         const double evict_cost_us = config_.reduce_entry_cost_us * overhead_ *
                                      static_cast<double>(old.aggs.size());
         co_await w.cpu().Use(CostUs(evict_cost_us));
-        if (recovery_) job.cpu_us[widx] += evict_cost_us;
-        old.aggs.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
-          WindowKeyAgg* run = st.running.Find(key);  // every partial was folded in
-          run->sum -= agg.sum;
-          run->weight -= agg.weight;
-          if (run->weight == 0) {
-            *run = WindowKeyAgg{};  // folds exactly like a fresh entry
-            --st.live_keys;
-          }
-        });
+        Bill(job, r, evict_cost_us);
+        st.running.Evict(old);
       }
       st.history.pop_front();
     }
@@ -707,7 +684,7 @@ class SparkSut : public driver::Sut {
         heap += static_cast<int64_t>(p.tuples) * kCachedRddBytesPerTuple;
       }
     }
-    heap += static_cast<int64_t>(st.live_keys) * kPartialHeapBytes;
+    heap += static_cast<int64_t>(st.running.live_keys()) * kPartialHeapBytes;
     SetPartitionHeap(r, heap);
 
     // Window evaluation at slide boundaries. Spark Streaming computes
@@ -768,9 +745,7 @@ class SparkSut : public driver::Sut {
          config_.reduce_entry_cost_us * static_cast<double>(tree_entries)) *
             overhead_ * slow;
     co_await w.cpu().Use(CostUs(merge_cost_us));
-    const size_t widx =
-        static_cast<size_t>(r) % static_cast<size_t>(ctx_.cluster->num_workers());
-    if (recovery_) job.cpu_us[widx] += merge_cost_us;
+    Bill(job, r, merge_cost_us);
 
     int64_t heap = 0;
     for (const auto& [index, p] : buckets.buckets()) heap += PartialHeapBytes(p);
@@ -808,14 +783,8 @@ class SparkSut : public driver::Sut {
     if (aggregation && config_.inverse_reduce) {
       // Running aggregate is already current; only emission work remains.
       eval_cost_us = config_.reduce_entry_cost_us *
-                     static_cast<double>(st.live_keys) * overhead_ * slow;
-      outs.reserve(st.live_keys);
-      st.running.ForEach([&](uint64_t key, const WindowKeyAgg& agg) {
-        if (agg.weight == 0) return;
-        outs.push_back({agg.max_event_time, agg.max_ingest_time, key, agg.sum, 1,
-                        agg.lineage, window_end});
-      });
-      engine::SortOutputs(outs);
+                     static_cast<double>(st.running.live_keys()) * overhead_ * slow;
+      st.running.Emit(window_end, &outs);
     } else {
       std::vector<const BucketPartial*> window;
       uint64_t window_tuples = 0;
@@ -849,26 +818,14 @@ class SparkSut : public driver::Sut {
   Task<> CommitWindow(cluster::Node& w, SparkJob& job, int r, double eval_cost_us,
                       const std::vector<engine::OutputRecord>& outs) {
     co_await w.cpu().Use(CostUs(eval_cost_us));
+    Bill(job, r, eval_cost_us);
     if (recovery_) {
-      job.cpu_us[static_cast<size_t>(r) %
-                 static_cast<size_t>(ctx_.cluster->num_workers())] += eval_cost_us;
       auto& staged = job.staged[static_cast<size_t>(r)];
       staged.insert(staged.end(), outs.begin(), outs.end());
     } else if (!outs.empty()) {
-      co_await EmitOutputs(w, outs);
+      co_await SinkHop(ctx_, w, outs, config_.emit_cost_us);
+      for (const auto& out : outs) ctx_.sink->Emit(out);
     }
-  }
-
-  Task<> EmitOutputs(cluster::Node& from, const std::vector<engine::OutputRecord>& outs) {
-    for (const auto& out : outs) {
-      obs::LineageTracker::Default().StampFired(out.lineage, ctx_.sim->now());
-    }
-    co_await from.cpu().Use(
-        CostUs(config_.emit_cost_us * static_cast<double>(outs.size())));
-    int64_t bytes = 0;
-    for (const auto& out : outs) bytes += engine::WireBytes(out);
-    co_await ctx_.cluster->Send(from, ctx_.cluster->driver(0), bytes);
-    for (const auto& out : outs) ctx_.sink->Emit(out);
   }
 
   void UpdateRateController(uint64_t tuples, SimTime runtime, SimTime sched_delay) {

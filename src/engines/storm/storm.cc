@@ -1,7 +1,6 @@
 #include "engines/storm/storm.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 
 #include "cluster/cluster.h"
@@ -16,6 +15,7 @@
 #include "engine/telemetry.h"
 #include "engine/watermark.h"
 #include "engine/window_state.h"
+#include "engines/dataflow.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -54,12 +54,11 @@ class StormSut : public driver::Sut {
     }
     heap_used_.assign(static_cast<size_t>(workers), 0);
 
-    queue_max_event_.assign(static_cast<size_t>(num_queues_), engine::kNoWatermark);
-    spout_unsent_floor_.assign(static_cast<size_t>(num_spouts_), kNoUnsentFloor);
-    queue_active_spouts_.assign(static_cast<size_t>(num_queues_), 0);
-    for (int s = 0; s < num_spouts_; ++s) {
-      ++queue_active_spouts_[static_cast<size_t>(QueueOfSpout(s))];
-    }
+    clock_ = engine::ConnectionClock(num_queues_, num_spouts_,
+                                     [this](int s) { return QueueOfSpout(s); });
+    // With recovery on, a worker restart wipes its bolts' slots while the
+    // bolts keep running.
+    slots_.assign(static_cast<size_t>(num_bolts_), EmptySlot());
 
     metrics_ = engine::EngineMetrics(name());
     obs_throttle_transitions_ = obs::Registry::Default().GetCounter(
@@ -68,18 +67,6 @@ class StormSut : public driver::Sut {
     recovery_ = config_.recovery_enabled;
     if (recovery_) {
       for (auto* q : ctx.queues) q->set_retain(true);
-      const engine::WindowAssigner assigner(config_.query.window);
-      const bool agg = config_.query.kind == engine::QueryKind::kAggregation;
-      for (int b = 0; b < num_bolts_; ++b) {
-        if (agg) {
-          bolt_agg_.emplace_back(assigner);
-        } else {
-          bolt_join_.emplace_back(assigner);
-        }
-        bolt_trackers_.emplace_back(num_queues_);
-      }
-      bolt_state_bytes_.assign(static_cast<size_t>(num_bolts_), 0);
-      queue_last_wm_.assign(static_cast<size_t>(num_queues_), engine::kNoWatermark);
       obs_restores_ = obs::Registry::Default().GetCounter(
           "engine.recovery.restores", {{"engine", name()}});
       for (int w = 0; w < workers; ++w) {
@@ -102,7 +89,11 @@ class StormSut : public driver::Sut {
     }
     for (int s = 0; s < num_spouts_; ++s) ctx.sim->Spawn(SpoutProcess(s));
     for (int q = 0; q < num_queues_; ++q) ctx.sim->Spawn(WatermarkProcess(q));
-    for (int b = 0; b < num_bolts_; ++b) ctx.sim->Spawn(BoltProcess(b));
+    for (int b = 0; b < num_bolts_; ++b) {
+      ctx.sim->Spawn(config_.query.kind == engine::QueryKind::kAggregation
+                         ? WindowBolt<engine::BufferedWindowState>(b)
+                         : WindowBolt<engine::JoinWindowState>(b));
+    }
     if (config_.enable_backpressure) ctx.sim->Spawn(ThrottleMonitor());
     return Status::OK();
   }
@@ -119,6 +110,15 @@ class StormSut : public driver::Sut {
     return ctx_.cluster->worker(b % ctx_.cluster->num_workers());
   }
   int QueueOfSpout(int s) const { return (s / spouts_per_worker_) % num_queues_; }
+
+  /// A bolt's slot before its first tuple: empty buffers, no watermarks.
+  engine::TaskSlot EmptySlot() const {
+    const engine::WindowAssigner assigner(config_.query.window);
+    return {config_.query.kind == engine::QueryKind::kAggregation
+                ? engine::WindowState(engine::BufferedWindowState(assigner))
+                : engine::WindowState(engine::JoinWindowState(assigner)),
+            engine::WatermarkTracker(num_queues_)};
+  }
 
   /// Tracks the JVM heap of the Storm worker on `node`; OOMs the topology
   /// when window state outgrows the configured heap.
@@ -150,14 +150,11 @@ class StormSut : public driver::Sut {
     const int queue_idx = QueueOfSpout(s);
     cluster::Node& queue_node = ctx_.cluster->driver(queue_idx);
     driver::DriverQueue& queue = *ctx_.queues[static_cast<size_t>(queue_idx)];
-    SimTime& queue_max_event = queue_max_event_[static_cast<size_t>(queue_idx)];
-    SimTime& unsent_floor = spout_unsent_floor_[static_cast<size_t>(s)];
     int consecutive_drops = 0;
     const bool join = config_.query.kind == engine::QueryKind::kJoin;
 
     engine::RecordBatch recs;
-    std::vector<int64_t> bytes;
-    std::vector<SimTime> arrivals;
+    IngestHop ingest;
     std::vector<SimTime> costs;
     std::vector<int> bolts;  // target bolt per record; -1 = ads broadcast
     cluster::TransferGroups remote;  // wire bytes of remote records, per worker
@@ -176,23 +173,17 @@ class StormSut : public driver::Sut {
       const size_t k = recs.size();
       // Raised before the first suspension: from this instant until each
       // record lands in its channel, watermarks stay below the run.
-      unsent_floor = recs[0].event_time;
-      bytes.clear();
-      arrivals.resize(k);  // SendBatch writes every arrival
-      for (const Record& rec : recs) bytes.push_back(engine::WireBytes(rec));
-      co_await ctx_.cluster->SendBatch(queue_node, my_worker, bytes.data(), k,
-                                       arrivals.data());
+      clock_.Hold(s, recs[0].event_time);
+      co_await ingest.Move(*ctx_.cluster, queue_node, my_worker, recs);
       // Spout work plus at-least-once ack bookkeeping (acker executor
       // colocated with the spout's worker; acker network traffic folded
       // into the CPU charge).
       costs.clear();
       int64_t alloc = 0;
-      for (size_t i = 0; i < k; ++i) {
-        recs[i].ingest_time = arrivals[i];
-        obs::LineageTracker::Default().StampIngested(recs[i].lineage, arrivals[i]);
-        costs.push_back(CostUs(config_.spout_cost_us * overhead_ * recs[i].weight));
-        costs.push_back(CostUs(config_.ack_cost_us * overhead_ * recs[i].weight));
-        alloc += config_.alloc_bytes_per_tuple * recs[i].weight;
+      for (const Record& rec : recs) {
+        costs.push_back(CostUs(config_.spout_cost_us * overhead_ * rec.weight));
+        costs.push_back(CostUs(config_.ack_cost_us * overhead_ * rec.weight));
+        alloc += config_.alloc_bytes_per_tuple * rec.weight;
       }
       co_await my_worker.cpu().UseBatch(costs);
       my_worker.RecordAllocation(alloc);
@@ -212,11 +203,7 @@ class StormSut : public driver::Sut {
         // Columnar shuffle: advance the event-time clock over the raw
         // run (the floor still caps watermarks below it), optionally
         // pre-aggregate, then radix-partition into bolt-major runs.
-        for (size_t i = 0; i < k; ++i) {
-          if (recs[i].event_time > queue_max_event) {
-            queue_max_event = recs[i].event_time;
-          }
-        }
+        for (const Record& rec : recs) clock_.Advance(queue_idx, rec.event_time);
         const engine::RecordBatch* shuffle = &recs;
         if (combine_) {
           combined.Clear();
@@ -252,17 +239,17 @@ class StormSut : public driver::Sut {
               delivered = SendOrDrop(ch, run[*it], consecutive_drops);
             }
             if (!delivered) {
-              unsent_floor = kNoUnsentFloor;
+              clock_.Release(s);
               co_return;
             }
           }
         }
-        unsent_floor = kNoUnsentFloor;
+        clock_.Release(s);
         continue;
       }
 
       for (size_t i = 0; i < k; ++i) {
-        if (recs[i].event_time > queue_max_event) queue_max_event = recs[i].event_time;
+        clock_.Advance(queue_idx, recs[i].event_time);
         if (recs[i].stream == engine::StreamId::kAds) {
           // Naive join: the ads stream is broadcast to every bolt (each
           // bolt keeps a full ads copy and matches its purchase partition).
@@ -300,13 +287,14 @@ class StormSut : public driver::Sut {
                                  consecutive_drops);
         }
         if (!delivered) {
-          unsent_floor = kNoUnsentFloor;
+          clock_.Release(s);
           co_return;
         }
-        unsent_floor = i + 1 < k ? recs[i + 1].event_time : kNoUnsentFloor;
+        if (i + 1 < k) clock_.Hold(s, recs[i + 1].event_time);
       }
+      clock_.Release(s);
     }
-    --queue_active_spouts_[static_cast<size_t>(queue_idx)];
+    clock_.Finish(s);
   }
 
   /// Delivery without flow control: a full receive queue drops the tuple,
@@ -325,29 +313,12 @@ class StormSut : public driver::Sut {
   }
 
   Task<> WatermarkProcess(int q) {
-    // With recovery on, the broadcast watermark also feeds the acker, so
-    // it lives in a SUT-owned slot.
-    SimTime local_last_sent = engine::kNoWatermark;
-    SimTime& last_sent =
-        recovery_ ? queue_last_wm_[static_cast<size_t>(q)] : local_last_sent;
     for (;;) {
       co_await des::Delay(*ctx_.sim, config_.watermark_interval);
-      if (queue_active_spouts_[static_cast<size_t>(q)] == 0) {
-        co_await Broadcast(Message::MakeWatermark(q, kFinalWatermark));
-        co_return;
-      }
-      SimTime wm = queue_max_event_[static_cast<size_t>(q)];
-      if (wm == engine::kNoWatermark) continue;
-      // Cap below the oldest popped-but-undelivered record across this
-      // queue's spouts (see the member comment).
-      for (int s = 0; s < num_spouts_; ++s) {
-        if (QueueOfSpout(s) != q) continue;
-        const SimTime floor = spout_unsent_floor_[static_cast<size_t>(s)];
-        if (floor != kNoUnsentFloor && floor - 1 < wm) wm = floor - 1;
-      }
-      if (wm == last_sent) continue;
-      last_sent = wm;
-      co_await Broadcast(Message::MakeWatermark(q, wm));
+      const std::optional<SimTime> wm = clock_.Next(q, 0);
+      if (!wm) continue;
+      co_await Broadcast(Message::MakeWatermark(q, *wm));
+      if (*wm == kFinalWatermark) co_return;
     }
   }
 
@@ -359,8 +330,7 @@ class StormSut : public driver::Sut {
   Task<> AckerProcess() {
     for (;;) {
       co_await des::Delay(*ctx_.sim, config_.ack_flush_interval);
-      SimTime min_wm = std::numeric_limits<SimTime>::max();
-      for (const SimTime wm : queue_last_wm_) min_wm = std::min(min_wm, wm);
+      const SimTime min_wm = clock_.MinLastSent();
       if (min_wm == engine::kNoWatermark) continue;
       const SimTime acked = min_wm - config_.query.window.range;
       for (auto* q : ctx_.queues) q->AckThroughEventTime(acked);
@@ -373,19 +343,12 @@ class StormSut : public driver::Sut {
   /// replayed from the driver queues — at-least-once: surviving bolts can
   /// double-apply replays, rebuilt windows re-fire with partial contents.
   void OnWorkerRestart(cluster::Node& node) {
-    const engine::WindowAssigner assigner(config_.query.window);
-    const bool agg = config_.query.kind == engine::QueryKind::kAggregation;
     int64_t freed = 0;
     for (int b = 0; b < num_bolts_; ++b) {
       if (WorkerOfBolt(b).id() != node.id()) continue;
-      if (agg) {
-        bolt_agg_[static_cast<size_t>(b)] = engine::BufferedWindowState(assigner);
-      } else {
-        bolt_join_[static_cast<size_t>(b)] = engine::JoinWindowState(assigner);
-      }
-      bolt_trackers_[static_cast<size_t>(b)] = engine::WatermarkTracker(num_queues_);
-      freed += bolt_state_bytes_[static_cast<size_t>(b)];
-      bolt_state_bytes_[static_cast<size_t>(b)] = 0;
+      engine::TaskSlot& slot = slots_[static_cast<size_t>(b)];
+      freed += slot.charged_bytes;
+      slot = EmptySlot();
     }
     heap_used_[WorkerIndex(node)] -= freed;
     obs_restores_->Add(1);
@@ -421,14 +384,6 @@ class StormSut : public driver::Sut {
     }
   }
 
-  Task<> BoltProcess(int b) {
-    if (config_.query.kind == engine::QueryKind::kAggregation) {
-      co_await WindowBolt(b, bolt_agg_);
-    } else {
-      co_await WindowBolt(b, bolt_join_);
-    }
-  }
-
   /// CPU work of one window trigger, and the trace argument naming it.
   struct FireWork {
     const char* arg;
@@ -459,19 +414,10 @@ class StormSut : public driver::Sut {
   /// watermark triggers are handled singly, in channel order, and charge
   /// the state's fire-time work (WorkOf).
   template <typename State>
-  Task<> WindowBolt(int b, std::vector<State>& recovery_states) {
+  Task<> WindowBolt(int b) {
     cluster::Node& my_worker = WorkerOfBolt(b);
-    engine::WindowAssigner assigner(config_.query.window);
-    State local_state(assigner);
-    engine::WatermarkTracker local_tracker(num_queues_);
-    int64_t local_last_bytes = 0;
-    // With recovery on, state lives in SUT-owned slots so a worker restart
-    // can wipe it while the coroutine keeps running.
-    State& state = recovery_ ? recovery_states[static_cast<size_t>(b)] : local_state;
-    engine::WatermarkTracker& tracker =
-        recovery_ ? bolt_trackers_[static_cast<size_t>(b)] : local_tracker;
-    int64_t& last_state_bytes =
-        recovery_ ? bolt_state_bytes_[static_cast<size_t>(b)] : local_last_bytes;
+    engine::TaskSlot& slot = slots_[static_cast<size_t>(b)];
+    State& state = std::get<State>(slot.state);
     Channel<Message>& in = *channels_[static_cast<size_t>(b)];
     obs::Tracer& tracer = obs::Tracer::Default();
     const obs::TrackId track =
@@ -509,14 +455,14 @@ class StormSut : public driver::Sut {
             obs::LineageTracker::Default().StampOperator(run[m].lineage, done);
           }
           my_worker.RecordAllocation(alloc);
-          if (!ChargeHeap(my_worker, state.state_bytes() - last_state_bytes)) co_return;
-          last_state_bytes = state.state_bytes();
+          if (!ChargeHeap(my_worker, state.state_bytes() - slot.charged_bytes)) co_return;
+          slot.charged_bytes = state.state_bytes();
           continue;
         }
         const Message msg = msgs[i];
         ++i;
-        if (tracker.Update(msg.origin, msg.watermark)) {
-          auto fired = state.FireUpTo(tracker.current());
+        if (slot.tracker.Update(msg.origin, msg.watermark)) {
+          auto fired = state.FireUpTo(slot.tracker.current());
           const FireWork work = WorkOf(fired);
           std::optional<obs::ScopedSpan> span;
           if (work.units > 0 || !fired.outputs.empty()) {
@@ -526,25 +472,16 @@ class StormSut : public driver::Sut {
             span->Arg("outputs", static_cast<double>(fired.outputs.size()));
           }
           if (work.units > 0) co_await my_worker.cpu().Use(work.cost);
-          ChargeHeap(my_worker, state.state_bytes() - last_state_bytes);
-          last_state_bytes = state.state_bytes();
-          if (!fired.outputs.empty()) co_await EmitOutputs(my_worker, fired.outputs);
+          ChargeHeap(my_worker, state.state_bytes() - slot.charged_bytes);
+          slot.charged_bytes = state.state_bytes();
+          if (!fired.outputs.empty()) {
+            co_await SinkHop(ctx_, my_worker, fired.outputs,
+                             config_.emit_cost_us * overhead_);
+            for (const auto& out : fired.outputs) ctx_.sink->Emit(out);
+          }
         }
       }
     }
-  }
-
-  Task<> EmitOutputs(cluster::Node& from, const std::vector<engine::OutputRecord>& outs) {
-    for (const auto& out : outs) {
-      obs::LineageTracker::Default().StampFired(out.lineage, ctx_.sim->now());
-    }
-    co_await from.cpu().Use(
-        CostUs(config_.emit_cost_us * overhead_ * static_cast<double>(outs.size())));
-    int64_t bytes = 0;
-    for (const auto& out : outs) bytes += engine::WireBytes(out);
-    cluster::Node& sink_node = ctx_.cluster->driver(0);
-    co_await ctx_.cluster->Send(from, sink_node, bytes);
-    for (const auto& out : outs) ctx_.sink->Emit(out);
   }
 
   StormConfig config_;
@@ -561,25 +498,13 @@ class StormSut : public driver::Sut {
   bool throttled_ = false;
   std::vector<std::unique_ptr<Channel<Message>>> channels_;
   std::vector<int64_t> heap_used_;
-  std::vector<SimTime> queue_max_event_;
-  /// Event time of the oldest record each spout has popped but not yet
-  /// delivered into a bolt channel (kNoUnsentFloor when it holds none).
-  /// WatermarkProcess caps its broadcast below this floor so a watermark
-  /// cannot overtake undelivered records while other spouts race ahead
-  /// (see flink.cc for the full rationale).
-  static constexpr SimTime kNoUnsentFloor = std::numeric_limits<SimTime>::max();
-  std::vector<SimTime> spout_unsent_floor_;
-  std::vector<int> queue_active_spouts_;
+  engine::ConnectionClock clock_;
+  std::vector<engine::TaskSlot> slots_;  // one per window bolt
   engine::EngineMetrics metrics_;
   obs::Counter* obs_throttle_transitions_ = nullptr;
 
   // -- Recovery state (untouched when recovery_ is false) ----------------
   bool recovery_ = false;
-  std::vector<engine::BufferedWindowState> bolt_agg_;
-  std::vector<engine::JoinWindowState> bolt_join_;
-  std::vector<engine::WatermarkTracker> bolt_trackers_;
-  std::vector<int64_t> bolt_state_bytes_;
-  std::vector<SimTime> queue_last_wm_;  // last broadcast watermark per queue
   obs::Counter* obs_restores_ = nullptr;
 };
 

@@ -99,7 +99,6 @@ class LineageTracker {
   /// Sample 1 in every `n` pushed records (counted deterministically in
   /// push order). n == 1 samples everything.
   void set_sample_every(uint32_t n) { sample_every_ = n == 0 ? 1 : n; }
-  uint32_t sample_every() const { return sample_every_; }
 
   /// Stops opening new samples once this many records are outstanding
   /// (fixed memory; the push counter keeps advancing).

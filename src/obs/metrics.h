@@ -3,7 +3,7 @@
 // "cluster.gc.pause_ns", "log.messages", ...). Handles are resolved once
 // (mutex-protected) and then incremented lock-free on the hot path; when
 // the registry is disabled every update is a single relaxed load and a
-// predicted branch (< 2 ns, see micro_benchmarks BM_ObsCounterDisabled).
+// predicted branch.
 //
 // All instrument storage lives for the registry's lifetime, so call
 // sites may cache `Counter*`/`Gauge*`/`Histogram*` freely. Values (not

@@ -27,16 +27,6 @@ Status CompileError(const chaos::FaultEvent& ev, const std::string& why) {
 
 }  // namespace
 
-bool RtChaosPlan::empty() const {
-  for (const auto& faults : source_faults) {
-    if (!faults.empty()) return false;
-  }
-  for (const auto& faults : task_faults) {
-    if (!faults.empty()) return false;
-  }
-  return true;
-}
-
 bool RtChaosPlan::HasFault(chaos::FaultKind kind) const {
   const auto any = [kind](const std::vector<std::vector<RtFault>>& slots) {
     for (const auto& faults : slots) {

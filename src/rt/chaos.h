@@ -46,7 +46,6 @@ struct RtChaosPlan {
   std::vector<std::vector<RtFault>> source_faults;  // [num_sources]
   std::vector<std::vector<RtFault>> task_faults;    // [num_tasks]
 
-  bool empty() const;
   bool HasFault(chaos::FaultKind kind) const;
   /// Wall-clock perturbation windows for watchdog excusal. Straggle
   /// windows are always excused (slow, not dead). Crash/wedge windows

@@ -41,6 +41,7 @@ namespace {
 using engine::kFinalWatermark;
 using engine::OutputRecord;
 using engine::Record;
+using engine::WindowState;
 
 /// One ring element: a run of same-partition records (the batched data
 /// plane's coalescing unit) and/or an in-band per-source watermark. The
@@ -58,28 +59,12 @@ struct Envelope {
   int origin = 0;
 };
 
-/// A task's logical window state, one alternative per engine model and
-/// query: flink incremental aggregates, storm buffered windows, the join
-/// buffers (flink and storm), spark bucket partials.
-using WindowState =
-    std::variant<engine::AggWindowState, engine::BufferedWindowState,
-                 engine::JoinWindowState, engine::BucketWindowState>;
-
 /// Fired outputs, whichever state fired them.
 std::vector<OutputRecord> OutputsOf(std::vector<OutputRecord> outs) { return outs; }
 template <typename Fired>
 std::vector<OutputRecord> OutputsOf(Fired fired) {
   return std::move(fired.outputs);
 }
-
-/// The Flink model's committed checkpoint: a deep copy of the window state
-/// + watermark tracker at the commit point. Restoring it and replaying the
-/// ring suffix above the ack frontier reconstructs the crashed incarnation
-/// exactly (replay re-folds exactly the post-checkpoint envelopes).
-struct FlinkSnapshot {
-  WindowState state;
-  engine::WatermarkTracker tracker;
-};
 
 /// A stage's identity, built once per stage: the name its profiler stage,
 /// executor worker, tracer track and log lines share, and its profiler
@@ -92,12 +77,15 @@ struct StageId {
 /// Durable per-task-slot state shared by every incarnation of the slot.
 /// The supervisor's join serializes incarnations (and the respawn path),
 /// so the non-atomic fields need no locks.
-struct TaskSlot {
+struct DurableSlot {
   int index = 0;
   StageId id;
   Supervisor::SlotCtrl ctrl;
   SlotChaos chaos;
-  std::optional<FlinkSnapshot> flink_ckpt;  // Flink: last committed checkpoint
+  /// Flink: a copy of the state and tracker at the last committed
+  /// checkpoint. Restoring it and replaying the ring suffix above the ack
+  /// frontier reconstructs the crashed incarnation exactly.
+  std::optional<engine::TaskSlot> flink_ckpt;
   int64_t spark_committed = -1;             // Spark: committed boundary cursor
   /// The counting rule: every incarnation folds its counters when it
   /// exits, crash included, and counts each record once. Per input ring,
@@ -506,18 +494,18 @@ class SourceStage {
 
 /// The engines' own logical state: one WindowState alternative, built
 /// from (model, query). Recovery restore per engine model:
-///   flink  last committed checkpoint snapshot (exactly-once)
+///   flink  last committed checkpoint snapshot, which TaskStage copies
+///          in place of this fresh state (exactly-once)
 ///   spark  committed boundary cursor; bucket recompute from replay
 ///          (exactly-once)
 ///   storm  fresh state + full replay from the ack frontier
 ///          (at-least-once: already-delivered windows refire)
-WindowState MakeWindowState(const RtPipelineConfig& config, const TaskSlot& slot) {
+WindowState MakeWindowState(const RtPipelineConfig& config, const DurableSlot& slot) {
   const engine::WindowAssigner assigner(config.query.window);
   if (config.model == RtPipelineConfig::Model::kSpark) {
     return engine::BucketWindowState(config.query, config.batch_interval,
                                      slot.spark_committed);
   }
-  if (slot.flink_ckpt.has_value()) return slot.flink_ckpt->state;
   if (config.query.kind == engine::QueryKind::kJoin) {
     return engine::JoinWindowState(assigner);
   }
@@ -530,11 +518,11 @@ WindowState MakeWindowState(const RtPipelineConfig& config, const TaskSlot& slot
 /// One incarnation of a task slot: folds envelopes into the engine
 /// model's window state and fires on the combined watermark; under
 /// retention it checkpoints (Flink) or acks (Storm, Spark) so a successor
-/// can resume. Built afresh from the durable TaskSlot for each
+/// can resume. Built afresh from the DurableSlot for each
 /// incarnation.
 class TaskStage {
  public:
-  TaskStage(PipelineContext& ctx, TaskSlot& slot)
+  TaskStage(PipelineContext& ctx, DurableSlot& slot)
       : ctx_(ctx),
         slot_(slot),
         io_(ctx, slot.id, ctx.supervise ? &slot.ctrl : nullptr),
@@ -545,10 +533,10 @@ class TaskStage {
         // uncommitted state).
         transactional_(ctx.retain &&
                        ctx.config.model == RtPipelineConfig::Model::kFlink),
-        state_(MakeWindowState(ctx.config, slot)),
-        tracker_(slot.flink_ckpt.has_value()
-                     ? slot.flink_ckpt->tracker
-                     : engine::WatermarkTracker(ctx.config.num_sources)),
+        live_(slot.flink_ckpt.has_value()
+                  ? *slot.flink_ckpt
+                  : engine::TaskSlot{MakeWindowState(ctx.config, slot),
+                                     engine::WatermarkTracker(ctx.config.num_sources)}),
         next_ckpt_(ctx.clock.now() + ctx.config.chaos.checkpoint_every) {
     for (int s = 0; s < ctx.config.num_sources; ++s) {
       inputs_.push_back(&ctx.data_ring(s, slot.index));
@@ -580,7 +568,7 @@ class TaskStage {
         const auto add = [&env](auto& s) {
           return engine::AddBatch(s, env.records.begin(), env.records.size());
         };
-        const uint64_t dropped = std::visit(add, state_).late_tuples;
+        const uint64_t dropped = std::visit(add, live_.state).late_tuples;
         if (!ctx_.retain || FirstApplication(env.origin)) {
           records += env.records.size();
           late += dropped;
@@ -601,8 +589,8 @@ class TaskStage {
             inputs_[static_cast<size_t>(env.origin)]->pop_index(),
             ack_event);
       }
-      if (env.has_watermark && tracker_.Update(env.origin, env.watermark)) {
-        Fire(tracker_.current());
+      if (env.has_watermark && live_.tracker.Update(env.origin, env.watermark)) {
+        Fire(live_.tracker.current());
       }
       if (slot_.chaos.armed()) {
         // Straggle throttle: stretch this envelope's processing time to
@@ -641,7 +629,7 @@ class TaskStage {
   }
 
  private:
-  /// The counting rule (TaskSlot::counted_through): true the first time
+  /// The counting rule (DurableSlot::counted_through): true the first time
   /// any incarnation applies the envelope just popped from `origin`'s ring.
   bool FirstApplication(int origin) {
     uint64_t& through = slot_.counted_through[static_cast<size_t>(origin)];
@@ -687,7 +675,7 @@ class TaskStage {
   void Fire(SimTime wm) {
     obs::ScopedSpan fire = io_.Span("window.fire");
     std::vector<OutputRecord> fired = std::visit(
-        [wm](auto& s) { return OutputsOf(s.FireUpTo(wm)); }, state_);
+        [wm](auto& s) { return OutputsOf(s.FireUpTo(wm)); }, live_.state);
     fire.Arg("outputs", static_cast<double>(fired.size()));
     obs::FlightRecorder::Note("task.fire", slot_.index,
                               static_cast<int64_t>(fired.size()));
@@ -711,7 +699,7 @@ class TaskStage {
       // next_boundary() are emitted; a restart resumes the cursor there
       // and only needs buckets >= cursor - range_batches + 1, i.e.
       // records with event time >= (cursor - range_batches) * interval.
-      const auto& buckets = std::get<engine::BucketWindowState>(state_);
+      const auto& buckets = std::get<engine::BucketWindowState>(live_.state);
       slot_.spark_committed = buckets.next_boundary();
       AckThroughFrontier((slot_.spark_committed - buckets.range_buckets()) *
                              ctx_.config.batch_interval,
@@ -753,7 +741,7 @@ class TaskStage {
   void Checkpoint(SimTime now) {
     obs::ScopedSpan span = io_.Span("chaos.checkpoint");
     PushOutputs(pending_);
-    slot_.flink_ckpt = FlinkSnapshot{state_, tracker_};
+    slot_.flink_ckpt = live_;
     for (SpscRing<Envelope>* ring : inputs_) {
       ring->AckThrough(ring->pop_index());
     }
@@ -774,7 +762,7 @@ class TaskStage {
   }
 
   PipelineContext& ctx_;
-  TaskSlot& slot_;
+  DurableSlot& slot_;
   StageIo io_;
   std::vector<SpscRing<Envelope>*> inputs_;
   SpscRing<std::vector<OutputRecord>>& out_ring_;
@@ -784,8 +772,7 @@ class TaskStage {
   // event time). An envelope is acked once no unfired window /
   // uncommitted boundary can still need its records.
   std::vector<std::deque<std::pair<uint64_t, SimTime>>> ack_log_;
-  WindowState state_;
-  engine::WatermarkTracker tracker_;
+  engine::TaskSlot live_;  // the window state and tracker this incarnation runs
   std::vector<OutputRecord> pending_;  // transactional: awaiting commit
   SimTime next_ckpt_;
   uint64_t pushed_outputs_ = 0;  // outputs that reached the sink ring
@@ -931,10 +918,10 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
   }
   // Durable slot state (fault plans, checkpoint snapshots, commit
   // cursors, counted-through indices): outlives every incarnation.
-  std::vector<std::unique_ptr<TaskSlot>> task_slots;
+  std::vector<std::unique_ptr<DurableSlot>> task_slots;
   for (int t = 0; t < T; ++t) {
-    task_slots.push_back(std::make_unique<TaskSlot>());
-    TaskSlot& slot = *task_slots.back();
+    task_slots.push_back(std::make_unique<DurableSlot>());
+    DurableSlot& slot = *task_slots.back();
     slot.index = t;
     slot.id = stage_id("rt-task-" + std::to_string(t));
     slot.chaos = SlotChaos(plan.task_faults[static_cast<size_t>(t)]);
@@ -1008,7 +995,7 @@ RtResult RunRtPipeline(const RtPipelineConfig& config) {
   }
   // Each incarnation is a fresh TaskStage: the supervisor's respawn runs
   // this again for the slot's next one.
-  const auto spawn_task = [&executor, &ctx](TaskSlot& slot) {
+  const auto spawn_task = [&executor, &ctx](DurableSlot& slot) {
     return executor.Spawn(slot.id.name,
                           [&ctx, &slot] { TaskStage(ctx, slot).Run(); });
   };

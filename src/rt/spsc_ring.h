@@ -218,16 +218,11 @@ class SpscRing {
   /// remaining elements. Irreversible.
   void Abort() { aborted_.store(true, std::memory_order_release); }
 
-  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
-
   // ---- Retained-region bookkeeping (retain mode; consumer side) ----
 
   /// Absolute index of the next element Pop will return. Consumer thread
   /// (or a supervisor serialized with it) only.
   uint64_t pop_index() const { return head_.load(std::memory_order_relaxed); }
-
-  /// Absolute index one past the last pushed element.
-  uint64_t end_index() const { return tail_.load(std::memory_order_acquire); }
 
   /// Ack frontier: elements below it are freed for the producer to reuse.
   uint64_t acked_index() const { return acked_.load(std::memory_order_relaxed); }

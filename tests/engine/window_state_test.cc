@@ -1,6 +1,7 @@
 #include "engine/window_state.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <tuple>
@@ -741,6 +742,63 @@ TEST(BucketWindowStateTest, ResumedCursorNeverReemitsBelowIt) {
     std::sort(want.begin(), want.end());
     EXPECT_EQ(got, want);
   }
+}
+
+// Spark's inverse reduce: a key that two evictions bring back to weight 0
+// holds the floating-point residue of its subtracted sums, and the max
+// times and lineage of records that left the window. Folded again, it must
+// equal a key the running aggregate never saw, bit for bit.
+TEST(RunningAggregateTest, KeyEvictedToZeroFoldsLikeAFreshKey) {
+  constexpr QueryKind kAgg = QueryKind::kAggregation;
+  BucketPartial job1, job2, job3, other;
+  Record a = MakeRecord(Seconds(50), 7, 0.1, Seconds(55));
+  a.lineage = 3;
+  job1.Add(a, kAgg);
+  job2.Add(MakeRecord(Seconds(60), 7, 0.2, Seconds(65)), kAgg);
+  other.Add(MakeRecord(Seconds(70), 8, 1.0), kAgg);  // key 8 stays live
+  // Key 7 comes back with earlier times than the evicted records.
+  job3.Add(MakeRecord(Seconds(20), 7, 0.3, Seconds(25)), kAgg);
+
+  RunningAggregate run;
+  run.Fold(job1);
+  run.Fold(other);
+  run.Fold(job2);
+  EXPECT_EQ(run.live_keys(), 2u);
+  run.Evict(job1);
+  EXPECT_EQ(run.live_keys(), 2u);
+  run.Evict(job2);  // (0.1 + 0.2) - 0.1 - 0.2 != 0 in doubles
+  EXPECT_EQ(run.live_keys(), 1u);
+  std::vector<OutputRecord> live;
+  run.Emit(Seconds(100), &live);
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].key, 8u);
+  run.Fold(job3);
+  EXPECT_EQ(run.live_keys(), 2u);
+
+  RunningAggregate fresh;
+  fresh.Fold(other);
+  fresh.Fold(job3);
+  std::vector<OutputRecord> got, want;
+  run.Emit(Seconds(100), &got);
+  fresh.Emit(Seconds(100), &want);
+  ASSERT_EQ(got.size(), 2u);
+  ASSERT_EQ(want.size(), 2u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].key, want[i].key);
+    uint64_t got_bits, want_bits;
+    std::memcpy(&got_bits, &got[i].value, sizeof(got_bits));
+    std::memcpy(&want_bits, &want[i].value, sizeof(want_bits));
+    EXPECT_EQ(got_bits, want_bits);
+    EXPECT_EQ(got[i].max_event_time, want[i].max_event_time);
+    EXPECT_EQ(got[i].max_ingest_time, want[i].max_ingest_time);
+    EXPECT_EQ(got[i].lineage, want[i].lineage);
+    EXPECT_EQ(got[i].weight, want[i].weight);
+    EXPECT_EQ(got[i].window_end, want[i].window_end);
+  }
+  EXPECT_EQ(got[0].key, 7u);  // the revived key sorts first by event time
+  EXPECT_EQ(got[0].max_event_time, Seconds(20));
+  EXPECT_EQ(got[0].lineage, -1);
 }
 
 }  // namespace

@@ -110,21 +110,25 @@ struct TrialSpec {
   // Spark's inverse reduce: a running per-key aggregate that adds each
   // job's partial and subtracts the one leaving the window.
   bool spark_inverse_reduce = false;
+  // Crashes worker w1 at 8 s for 2 s (with `recovery`, the engine replays
+  // or restores what the crash lost).
+  bool crash = false;
 };
 
 Pinned RunTrial(Engine engine, int batch, const TrialSpec& spec) {
   driver::ExperimentConfig config =
       workloads::MakeExperiment(spec.kind, 2, spec.rate, Seconds(20));
   config.batch = batch;
+  if (spec.crash) config.faults.Crash("w1", Seconds(8), Seconds(2));
   std::vector<engine::OutputRecord> outs;
   config.output_listener = [&outs](const engine::OutputRecord& o) { outs.push_back(o); };
   uint64_t events = 0;
   const engine::QueryConfig query{spec.kind, {}};
   workloads::EngineTuning tuning;
   tuning.spark_inverse_reduce = spec.spark_inverse_reduce;
+  tuning.recovery = spec.recovery;
   driver::SutFactory inner = workloads::MakeEngineFactory(engine, query, tuning);
   if (spec.checkpoint_interval > 0) {
-    tuning.recovery = spec.recovery;
     engines::FlinkConfig flink = workloads::CalibratedFlink(query, tuning);
     flink.checkpoint_interval = spec.checkpoint_interval;
     inner = [flink](const driver::SutContext&) { return engines::MakeFlink(flink); };
@@ -227,6 +231,14 @@ TEST(PinnedTrialTest, FlinkAggRecoveryBatch32) {
 TEST(PinnedTrialTest, FlinkJoinRecoveryBatch32) {
   ExpectPinned(Engine::kFlink, 32, {190216, 614, 0x0d44e799d305e346},
                {engine::QueryKind::kJoin, 1e5, Seconds(2), true});
+}
+
+// Storm at-least-once with one worker crash: the acker acks tuples behind
+// the broadcast watermarks, the restart wipes the crashed worker's bolt
+// state and heap, and the driver queues replay every unacked tuple.
+TEST(PinnedTrialTest, StormAggRecoveryBatch32) {
+  ExpectPinned(Engine::kStorm, 32, {288737, 3278, 0x69110c1fcafe4a6c, 0x2bf81336c0f38ee5},
+               {engine::QueryKind::kAggregation, 3e5, 0, true, false, true});
 }
 
 }  // namespace
