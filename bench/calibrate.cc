@@ -2,10 +2,10 @@
 // rate) and prints the sustainability verdict, latency stats, and ingest
 // rate. Used to tune the cost constants in the engine configs against the
 // paper's tables. Not part of the headline benches.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 
 #include "bench_util.h"
 #include "chaos/fault_schedule.h"
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   tuning.recovery = recovery;
   auto factory = MakeEngineFactory(engine, engine::QueryConfig{query, {}}, tuning);
 
-  const std::clock_t t0 = std::clock();
+  const auto t0 = std::chrono::steady_clock::now();
   if (search) {
     driver::SearchConfig sc;
     sc.initial_rate = rate;
@@ -131,6 +131,7 @@ int main(int argc, char** argv) {
     printf("  mean worker CPU: %.1f%%\n",
            100.0 * cpu / static_cast<double>(result.worker_cpu_util.size()));
   }
-  printf("  [wall: %.1fs]\n", static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC);
+  printf("  [wall: %.1fs]\n",
+         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
   return bench::Exit(telemetry);
 }

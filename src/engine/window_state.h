@@ -445,8 +445,6 @@ using WindowState =
 struct TaskSlot {
   WindowState state;
   WatermarkTracker tracker;
-  /// Window-state bytes last charged to the worker heap (Storm).
-  int64_t charged_bytes = 0;
 };
 
 }  // namespace sdps::engine

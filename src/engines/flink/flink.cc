@@ -1,19 +1,14 @@
 #include "engines/flink/flink.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/check.h"
-#include "common/strings.h"
 #include "des/channel.h"
 #include "des/task.h"
 #include "engine/batch.h"
 #include "engine/columnar.h"
-#include "engine/partition.h"
 #include "engine/record.h"
 #include "engine/telemetry.h"
 #include "engine/watermark.h"
@@ -44,99 +39,63 @@ class FlinkSut : public driver::Sut {
 
   Status Start(const driver::SutContext& ctx) override {
     ctx_ = ctx;
-    cluster::Cluster& cluster = *ctx.cluster;
-    const int workers = cluster.num_workers();
-    num_tasks_ = workers * config_.tasks_per_worker;
-    num_queues_ = static_cast<int>(ctx.queues.size());
-    SDPS_CHECK_GT(num_queues_, 0);
-    partitioner_.emplace(num_tasks_);
-    // Paper setup: 16 parallel source instances per node (one per slot).
-    sources_per_worker_ = cluster.worker(0).config().cpu_slots;
-    num_sources_ = workers * sources_per_worker_;
-
-    // Join tasks evaluate in bulk at the trigger; deeper buffers absorb
-    // the evaluation burst (Flink's network buffer pool is shared).
-    const size_t channel_cap = config_.query.kind == engine::QueryKind::kJoin
-                                   ? config_.channel_capacity * 4
-                                   : config_.channel_capacity;
-    for (int t = 0; t < num_tasks_; ++t) {
-      channels_.push_back(std::make_unique<Channel<Message>>(*ctx.sim, channel_cap));
-    }
-    // Per-task share of worker heap before the spillable backend engages.
-    spill_threshold_bytes_ =
-        cluster.worker(0).config().memory_bytes / (2 * config_.tasks_per_worker);
-
-    // Watermarks are generated per ingest connection (queue): the sources
-    // of one queue share one event-time clock.
-    clock_ = engine::ConnectionClock(num_queues_, num_sources_,
-                                     [this](int s) { return QueueOfSource(s); });
-    // With recovery on, a restore swaps the last checkpoint's slots in
-    // while the tasks keep running.
-    const bool agg = config_.query.kind == engine::QueryKind::kAggregation;
-    const engine::WindowAssigner assigner(config_.query.window);
-    slots_.assign(static_cast<size_t>(num_tasks_),
-                  {agg ? engine::WindowState(engine::AggWindowState(assigner))
-                       : engine::WindowState(engine::JoinWindowState(assigner)),
-                   engine::WatermarkTracker(num_queues_)});
-
-    metrics_ = engine::EngineMetrics(name());
-    obs_checkpoints_ = obs::Registry::Default().GetCounter(
-        "engine.checkpoint.snapshots", {{"engine", name()}});
-
     if (config_.recovery_enabled && config_.checkpoint_interval <= 0) {
       return Status::InvalidArgument(
           "flink: recovery_enabled requires checkpoint_interval > 0");
     }
     recovery_ = config_.recovery_enabled;
+    const bool agg = config_.query.kind == engine::QueryKind::kAggregation;
+    // Join tasks evaluate in bulk at the trigger; deeper buffers absorb
+    // the evaluation burst (Flink's network buffer pool is shared).
+    const Status topology = df_.Init<engine::AggWindowState>(
+        ctx, "flink", config_.tasks_per_worker,
+        agg ? config_.channel_capacity : config_.channel_capacity * 4, config_.query,
+        config_.shuffle_combine, recovery_, config_.remote_serde_cost_us);
+    if (!topology.ok()) return topology;
+    const int num_tasks = df_.num_tasks();
+    cluster::Cluster& cluster = *ctx.cluster;
+    // Per-task share of worker heap before the spillable backend engages.
+    spill_threshold_bytes_ =
+        cluster.worker(0).config().memory_bytes / (2 * config_.tasks_per_worker);
+
+    metrics_ = engine::EngineMetrics(name());
+    obs_checkpoints_ = obs::Registry::Default().GetCounter(
+        "engine.checkpoint.snapshots", {{"engine", name()}});
+
     if (recovery_) {
       for (auto* q : ctx.queues) q->set_retain(true);
-      task_commit_id_.assign(static_cast<size_t>(num_tasks_), 0);
-      task_done_.assign(static_cast<size_t>(num_tasks_), 0);
+      task_commit_id_.assign(static_cast<size_t>(num_tasks), 0);
+      task_done_.assign(static_cast<size_t>(num_tasks), 0);
       // Checkpoint 0: the empty initial state. A crash before the first
       // completed checkpoint restores this and replays everything.
       last_completed_ = std::make_unique<Checkpoint>();
-      last_completed_->cursors.assign(static_cast<size_t>(num_queues_), 0);
-      last_completed_->clock = clock_;
-      for (int t = 0; t < num_tasks_; ++t) {
-        last_completed_->slots.emplace(t, slots_[static_cast<size_t>(t)]);
-      }
+      last_completed_->cursors.assign(static_cast<size_t>(df_.num_queues()), 0);
+      last_completed_->clock = df_.clock();
+      for (int t = 0; t < num_tasks; ++t) last_completed_->slots.emplace(t, df_.slot(t));
       obs_restores_ = obs::Registry::Default().GetCounter(
           "engine.recovery.restores", {{"engine", name()}});
-      for (int w = 0; w < workers; ++w) {
+      for (int w = 0; w < cluster.num_workers(); ++w) {
         cluster.worker(w).OnRestart(
             [this](cluster::Node&) { RestoreFromCheckpoint(); });
       }
     }
 
-    // Data-plane batch size: the most records one source pop or task
-    // drain takes (1 = a batch of one).
-    batch_ = static_cast<size_t>(std::max(1, ctx.batch));
-    // Shuffle-side combining applies to batched aggregation shuffles only
-    // (a batch of one has nothing to combine); recovery's per-raw-record
-    // in-flight accounting precludes it.
-    combine_ = config_.shuffle_combine && batch_ > 1 &&
-               config_.query.kind == engine::QueryKind::kAggregation;
-    if (combine_ && recovery_) {
-      return Status::InvalidArgument(
-          "flink: shuffle_combine is incompatible with recovery_enabled");
-    }
-    for (int s = 0; s < num_sources_; ++s) ctx.sim->Spawn(SourceProcess(s));
-    for (int q = 0; q < num_queues_; ++q) {
-      ctx.sim->Spawn(WatermarkProcess(q));
+    for (int s = 0; s < df_.num_sources(); ++s) ctx.sim->Spawn(SourceProcess(s));
+    for (int q = 0; q < df_.num_queues(); ++q) {
+      ctx.sim->Spawn(
+          df_.WatermarkProcess(q, config_.watermark_interval, config_.allowed_lateness));
     }
     if (config_.checkpoint_interval > 0) {
       ctx.sim->Spawn(CheckpointCoordinator());
     }
-    for (int t = 0; t < num_tasks_; ++t) {
+    for (int t = 0; t < num_tasks; ++t) {
       ctx.sim->Spawn(agg ? WindowTask<engine::AggWindowState>(t)
                          : WindowTask<engine::JoinWindowState>(t));
     }
     return Status::OK();
   }
 
-  void Stop() override {
-    for (auto& ch : channels_) ch->Close();
-  }
+  void Stop() override { df_.Stop(); }
 
   void ExportSeries(std::map<std::string, driver::TimeSeries>* out) const override {
     driver::TimeSeries late;
@@ -156,55 +115,34 @@ class FlinkSut : public driver::Sut {
   }
 
  private:
-  cluster::Node& WorkerOfSource(int s) {
-    return ctx_.cluster->worker(s / sources_per_worker_);
-  }
-  cluster::Node& WorkerOfTask(int t) {
-    return ctx_.cluster->worker(t % ctx_.cluster->num_workers());
-  }
-  /// Sources on worker w pull from queue (w mod queues): queue i lives on
-  /// driver node i, and the paper pairs generators with SUT ingest 1:1.
-  int QueueOfSource(int s) const {
-    return (s / sources_per_worker_) % num_queues_;
-  }
-
   /// Source: one PopBatch / ingest SendBatch / cpu UseBatch per run of up
-  /// to `batch_` records (a run of one at --batch=1). Per-record side
+  /// to batch() records (a run of one at --batch=1). Per-record side
   /// effects (ingest stamps at the per-record link completion times, epoch
   /// bookkeeping, partitioned channel sends) keep their order; only the
   /// event scheduling is coalesced.
   Task<> SourceProcess(int s) {
-    cluster::Node& my_worker = WorkerOfSource(s);
-    const int queue_idx = QueueOfSource(s);
+    cluster::Node& my_worker = df_.WorkerOfSource(s);
+    const int queue_idx = df_.QueueOfSource(s);
     cluster::Node& queue_node = ctx_.cluster->driver(queue_idx);
     driver::DriverQueue& queue = *ctx_.queues[static_cast<size_t>(queue_idx)];
+    engine::ConnectionClock& clock = df_.clock();
 
     engine::RecordBatch recs;
     IngestHop ingest;
+    ShuffleWrite shuffle(df_);
     std::vector<SimTime> costs;
-    cluster::TransferGroups remote;  // wire bytes of remote records, per worker
-    // Columnar shuffle state (see engine/columnar.h): the key lane feeds
-    // one radix pass per run instead of a per-record divide, and the
-    // optional combiner folds the run into per-(key, slide-bucket)
-    // partials before anything crosses a link.
-    engine::ColumnarBatch cols;
-    engine::PartitionPlan plan;
-    engine::RecordBatch combined;
-    std::optional<engine::ShuffleCombiner> combiner;
-    if (combine_) combiner.emplace(config_.query.window.slide);
-
     for (;;) {
-      if (!co_await queue.PopBatch(&recs, batch_)) break;
+      if (!co_await queue.PopBatch(&recs, df_.batch())) break;
       const size_t k = recs.size();
       // Raised before the first suspension and held at the run minimum
       // until the last record lands in its channel: the shuffle sends in
       // destination-major (not event-time) order, so only the whole-run
       // floor is a safe watermark bound.
-      clock_.Hold(s, recs[0].event_time);
+      clock.Hold(s, recs[0].event_time);
       // Pop-time restore epoch: if a crash hits while these records are in
       // flight, the receiving task drops the (now stale) messages and the
       // queue replays the records instead.
-      const int64_t rec_epoch = epoch_;
+      const int64_t rec_epoch = df_.epoch();
       if (recovery_) in_flight_ += static_cast<int>(k);
       co_await ingest.Move(*ctx_.cluster, queue_node, my_worker, recs);
       costs.clear();
@@ -216,53 +154,27 @@ class FlinkSut : public driver::Sut {
       co_await my_worker.cpu().UseBatch(costs);
       my_worker.RecordAllocation(alloc);
 
-      // Combine (aggregation only), then radix-partition the run into
-      // destination-major order in one pass.
-      const engine::RecordBatch* shuffle = &recs;
-      if (combine_) {
-        combined.Clear();
-        combiner->Combine(recs.begin(), k, &combined);
-        combined.Seal();
-        shuffle = &combined;
-      }
-      const size_t n = shuffle->size();
-      const engine::RecordBatch& run = *shuffle;
-      cols.LoadKeys(run.begin(), n);
-      engine::RadixPartition(cols.keys.data(), n, *partitioner_, &plan);
-
-      // Coalesce serde + transfer of the remote records, per target worker.
-      costs.clear();
-      remote.Clear();
-      for (const int t : plan.active) {
-        cluster::Node& target = WorkerOfTask(t);
-        if (target.id() == my_worker.id()) continue;
-        std::vector<int64_t>& group = remote.To(target);
-        for (const uint32_t* it = plan.Begin(t); it != plan.End(t); ++it) {
-          const Record& rec = run[*it];
-          costs.push_back(
-              CostUs(config_.remote_serde_cost_us * engine::PhysicalTuples(rec)));
-          group.push_back(engine::WireBytes(rec));
-        }
-      }
+      const engine::RecordBatch& run = shuffle.Partition(recs, my_worker, &costs);
       if (!costs.empty()) {
         co_await my_worker.cpu().UseBatch(costs);
-        for (const cluster::TransferGroups::Group& g : remote) {
+        for (const cluster::TransferGroups::Group& g : shuffle.remote()) {
           co_await ctx_.cluster->SendBatch(my_worker, *g.node, g.bytes.data(),
                                            g.bytes.size(), nullptr);
         }
       }
       // Destination-major channel sends. in_flight_ counts raw records,
-      // and combining is disallowed under recovery, so n == k whenever
-      // recovery_ is set.
-      size_t sends_left = n;
+      // and combining is disallowed under recovery, so the run is `recs`
+      // whenever recovery_ is set.
+      const engine::PartitionPlan& plan = shuffle.plan();
+      size_t sends_left = run.size();
       for (const int t : plan.active) {
-        Channel<Message>& ch = *channels_[static_cast<size_t>(t)];
+        Channel<Message>& ch = df_.channel(t);
         for (const uint32_t* it = plan.Begin(t); it != plan.End(t); ++it) {
           const Record& rec = run[*it];
           // A stale record must not advance the (restored) event-time
           // clock: its replayed copy re-advances it on the re-pop.
-          if (!recovery_ || rec_epoch == epoch_) {
-            clock_.Advance(queue_idx, rec.event_time);
+          if (!recovery_ || rec_epoch == df_.epoch()) {
+            clock.Advance(queue_idx, rec.event_time);
           }
           Message msg = Message::MakeRecord(rec);
           msg.epoch = rec_epoch;
@@ -271,35 +183,15 @@ class FlinkSut : public driver::Sut {
           if (recovery_) --in_flight_;
           if (!sent) {
             // Topology shut down mid-run: release the never-sent remainder.
-            clock_.Release(s);
+            clock.Release(s);
             if (recovery_) in_flight_ -= static_cast<int>(sends_left);
             co_return;
           }
         }
       }
-      clock_.Release(s);
+      clock.Release(s);
     }
-    clock_.Finish(s);
-  }
-
-  /// Periodically broadcasts the connection's event-time clock to every
-  /// window task; emits a final watermark (flushing all open windows) once
-  /// the connection's sources have drained the queue.
-  Task<> WatermarkProcess(int q) {
-    for (;;) {
-      co_await des::Delay(*ctx_.sim, config_.watermark_interval);
-      const std::optional<SimTime> wm = clock_.Next(q, config_.allowed_lateness);
-      if (!wm) continue;
-      co_await Broadcast(Message::MakeWatermark(q, *wm));
-      if (*wm == kFinalWatermark) co_return;
-    }
-  }
-
-  Task<> Broadcast(Message msg) {
-    msg.epoch = epoch_;
-    for (auto& ch : channels_) {
-      if (!co_await ch->Send(msg)) co_return;
-    }
+    clock.Finish(s);
   }
 
   /// Injects checkpoint barriers in-band (simplified aligned-barrier
@@ -317,7 +209,7 @@ class FlinkSut : public driver::Sut {
       co_await des::Delay(*ctx_.sim, config_.checkpoint_interval);
       ++checkpoints_started_;
       if (!recovery_) {
-        co_await Broadcast(Message::MakeWatermark(kBarrierOrigin, 0));
+        co_await df_.Broadcast(Message::MakeWatermark(kBarrierOrigin, 0));
         continue;
       }
       for (auto* q : ctx_.queues) q->set_paused(true);
@@ -329,13 +221,13 @@ class FlinkSut : public driver::Sut {
       const uint64_t id = ++next_checkpoint_id_;
       auto cp = std::make_unique<Checkpoint>();
       cp->id = id;
-      cp->remaining = num_tasks_;
+      cp->remaining = df_.num_tasks();
       for (auto* q : ctx_.queues) cp->cursors.push_back(q->popped_records());
-      cp->clock = clock_;
+      cp->clock = df_.clock();
       pending_ = std::move(cp);
       // The pause holds through the whole broadcast: no record can be
       // popped and overtake a barrier still being injected.
-      co_await Broadcast(
+      co_await df_.Broadcast(
           Message::MakeWatermark(kBarrierOrigin, static_cast<SimTime>(id)));
       for (auto* q : ctx_.queues) q->set_paused(false);
     }
@@ -398,7 +290,7 @@ class FlinkSut : public driver::Sut {
   }
 
   /// Window task over an AggWindowState (agg) or JoinWindowState (join):
-  /// drains up to `batch_` queued messages per resume and folds each
+  /// drains up to batch() queued messages per resume and folds each
   /// consecutive run of valid records, record by record (Fold), before one
   /// cpu UseBatch; the per-record completion times (service start + cost
   /// prefix sums) are the operator stamps. Barriers and watermarks are
@@ -407,10 +299,10 @@ class FlinkSut : public driver::Sut {
   /// (Fire) before emitting.
   template <typename State>
   Task<> WindowTask(int t) {
-    cluster::Node& my_worker = WorkerOfTask(t);
-    engine::TaskSlot& slot = slots_[static_cast<size_t>(t)];
+    cluster::Node& my_worker = df_.WorkerOfTask(t);
+    engine::TaskSlot& slot = df_.slot(t);
     State& state = std::get<State>(slot.state);
-    Channel<Message>& in = *channels_[static_cast<size_t>(t)];
+    Channel<Message>& in = df_.channel(t);
     obs::Tracer& tracer = obs::Tracer::Default();
     const obs::TrackId track =
         engine::OperatorTrack(my_worker.name(), name(), "task", t);
@@ -418,10 +310,10 @@ class FlinkSut : public driver::Sut {
     std::vector<Message> msgs;
     std::vector<SimTime> costs;
     for (;;) {
-      if (!co_await in.RecvMany(&msgs, batch_)) break;
+      if (!co_await in.RecvMany(&msgs, df_.batch())) break;
       size_t i = 0;
       while (i < msgs.size()) {
-        if (recovery_ && msgs[i].epoch < epoch_) {
+        if (recovery_ && msgs[i].epoch < df_.epoch()) {
           ++i;
           continue;
         }
@@ -433,7 +325,7 @@ class FlinkSut : public driver::Sut {
           const size_t first = i;
           int64_t alloc = 0;
           while (i < msgs.size() && msgs[i].kind == Message::Kind::kRecord &&
-                 !(recovery_ && msgs[i].epoch < epoch_)) {
+                 !(recovery_ && msgs[i].epoch < df_.epoch())) {
             const Record& rec = msgs[i].record;
             ++i;
             engine::AddResult added;
@@ -481,13 +373,13 @@ class FlinkSut : public driver::Sut {
                      int t, int64_t fire_epoch) {
     // A fire computed from pre-restore state is a phantom of the dead
     // execution: the restored state will re-fire the same windows.
-    if (recovery_ && fire_epoch != epoch_) co_return;
+    if (recovery_ && fire_epoch != df_.epoch()) co_return;
     co_await SinkHop(ctx_, from, outs, config_.emit_cost_us);
     if (!recovery_) {
       for (const auto& out : outs) ctx_.sink->Emit(out);
       co_return;
     }
-    if (fire_epoch != epoch_) co_return;  // crashed mid-emit: discard
+    if (fire_epoch != df_.epoch()) co_return;  // crashed mid-emit: discard
     // Transactional sink: outputs fired between barrier n and n+1 become
     // visible only when checkpoint n+1 completes (or at job finish).
     auto& bucket = uncommitted_[task_commit_id_[static_cast<size_t>(t)] + 1];
@@ -497,10 +389,10 @@ class FlinkSut : public driver::Sut {
   /// Barrier processed by task `t`: store its snapshot into the pending
   /// checkpoint; the last task to report completes (commits) it.
   void OnTaskSnapshot(int t, uint64_t id, int64_t barrier_epoch) {
-    if (barrier_epoch != epoch_) return;  // barrier from a pre-restore epoch
+    if (barrier_epoch != df_.epoch()) return;  // barrier from a pre-restore epoch
     task_commit_id_[static_cast<size_t>(t)] = id;
     if (!pending_ || pending_->id != id) return;
-    pending_->slots.insert_or_assign(t, slots_[static_cast<size_t>(t)]);
+    pending_->slots.insert_or_assign(t, df_.slot(t));
     if (--pending_->remaining == 0) CompleteCheckpoint();
   }
 
@@ -508,7 +400,7 @@ class FlinkSut : public driver::Sut {
   /// either aborts the whole checkpoint or lands after the commit.
   void CompleteCheckpoint() {
     std::unique_ptr<Checkpoint> cp = std::move(pending_);
-    for (int q = 0; q < num_queues_; ++q) {
+    for (int q = 0; q < df_.num_queues(); ++q) {
       ctx_.queues[static_cast<size_t>(q)]->Ack(cp->cursors[static_cast<size_t>(q)]);
     }
     // Commit every output bucket covered by this checkpoint (ids can skip
@@ -526,7 +418,7 @@ class FlinkSut : public driver::Sut {
   void OnTaskWatermark(int t, SimTime combined) {
     if (combined < kFinalWatermark || task_done_[static_cast<size_t>(t)]) return;
     task_done_[static_cast<size_t>(t)] = 1;
-    if (++tasks_finished_ < num_tasks_) return;
+    if (++tasks_finished_ < df_.num_tasks()) return;
     for (auto& [id, outs] : uncommitted_) {
       for (const auto& out : outs) ctx_.sink->Emit(out);
     }
@@ -538,34 +430,24 @@ class FlinkSut : public driver::Sut {
   /// replay everything popped past its cursors.
   void RestoreFromCheckpoint() {
     if (!recovery_) return;
-    ++epoch_;
+    df_.NextEpoch();
     ++restores_;
     obs_restores_->Add(1);
     pending_.reset();
     uncommitted_.clear();
     const Checkpoint& cp = *last_completed_;
-    for (int t = 0; t < num_tasks_; ++t) {
-      slots_[static_cast<size_t>(t)] = cp.slots.at(t);
+    for (int t = 0; t < df_.num_tasks(); ++t) {
+      df_.slot(t) = cp.slots.at(t);
       task_commit_id_[static_cast<size_t>(t)] = cp.id;
     }
-    clock_.Restore(cp.clock);
+    df_.clock().Restore(cp.clock);
     for (auto* q : ctx_.queues) q->Replay();
   }
 
   FlinkConfig config_;
   driver::SutContext ctx_;
-  int num_tasks_ = 0;
-  int num_sources_ = 0;
-  int num_queues_ = 0;
-  int sources_per_worker_ = 1;
-  size_t batch_ = 1;  // most records per source pop / task drain
-  bool combine_ = false;  // shuffle-side pre-aggregation (batched agg only)
-  // Divide-free partition mapper, identical to PartitionForKey modulo.
-  std::optional<engine::Partitioner> partitioner_;
+  KeyedDataflow df_;
   int64_t spill_threshold_bytes_ = 0;
-  std::vector<std::unique_ptr<Channel<Message>>> channels_;
-  engine::ConnectionClock clock_;
-  std::vector<engine::TaskSlot> slots_;  // one per window task
   uint64_t late_dropped_tuples_ = 0;
   uint64_t checkpoints_started_ = 0;
   int64_t snapshot_bytes_total_ = 0;
@@ -581,7 +463,6 @@ class FlinkSut : public driver::Sut {
     std::map<int, engine::TaskSlot> slots;  // per task
   };
   bool recovery_ = false;
-  int64_t epoch_ = 0;       // bumped on every restore
   int in_flight_ = 0;       // records popped but not yet in a channel
   uint64_t next_checkpoint_id_ = 0;
   uint64_t restores_ = 0;

@@ -36,20 +36,6 @@ std::string RenderBreakdownTable(const std::vector<EngineBreakdown>& rows) {
   return table.Render();
 }
 
-std::string BreakdownCsvText(const std::vector<EngineBreakdown>& rows) {
-  std::string out = "engine,stage,mean_seconds,share\n";
-  for (const EngineBreakdown& row : rows) {
-    const double total = row.breakdown.MeanTotalSeconds();
-    for (const obs::LineageStage stage : kStages) {
-      const double mean = row.breakdown.MeanStageSeconds(stage);
-      out += StrFormat("%s,%s,%.6f,%.6f\n", row.engine.c_str(),
-                       obs::LineageStageName(stage), mean,
-                       total > 0 ? mean / total : 0.0);
-    }
-  }
-  return out;
-}
-
 Status WriteBreakdownCsv(const std::string& path,
                          const std::vector<EngineBreakdown>& rows) {
   SDPS_ASSIGN_OR_RETURN(CsvWriter writer, CsvWriter::Open(path));

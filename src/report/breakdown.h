@@ -25,7 +25,6 @@ std::string RenderBreakdownTable(const std::vector<EngineBreakdown>& rows);
 
 /// Long-format CSV (engine, stage, mean_seconds, share) — the shape
 /// scripts/plot_results.py's `breakdown` subcommand stacks into bars.
-std::string BreakdownCsvText(const std::vector<EngineBreakdown>& rows);
 Status WriteBreakdownCsv(const std::string& path,
                          const std::vector<EngineBreakdown>& rows);
 

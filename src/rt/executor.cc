@@ -62,11 +62,6 @@ Executor::Executor(Options options)
 
 Executor::~Executor() { JoinAll(); }
 
-int Executor::num_threads() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(threads_.size());
-}
-
 Executor::WorkerId Executor::Spawn(std::string name, std::function<void()> fn) {
   SDPS_CHECK(fn != nullptr);
   Worker* worker = nullptr;

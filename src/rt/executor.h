@@ -80,8 +80,6 @@ class Executor {
   /// exit.
   void JoinAll();
 
-  int num_threads() const;
-
  private:
   struct Worker;
   void JoinWorker(Worker& worker);

@@ -113,6 +113,9 @@ struct TrialSpec {
   // Crashes worker w1 at 8 s for 2 s (with `recovery`, the engine replays
   // or restores what the crash lost).
   bool crash = false;
+  // Source-side combiner: batched aggregation sources pre-aggregate each
+  // popped run into per-(key, slide-bucket) partials before the shuffle.
+  bool shuffle_combine = false;
 };
 
 Pinned RunTrial(Engine engine, int batch, const TrialSpec& spec) {
@@ -127,6 +130,7 @@ Pinned RunTrial(Engine engine, int batch, const TrialSpec& spec) {
   workloads::EngineTuning tuning;
   tuning.spark_inverse_reduce = spec.spark_inverse_reduce;
   tuning.recovery = spec.recovery;
+  tuning.shuffle_combine = spec.shuffle_combine;
   driver::SutFactory inner = workloads::MakeEngineFactory(engine, query, tuning);
   if (spec.checkpoint_interval > 0) {
     engines::FlinkConfig flink = workloads::CalibratedFlink(query, tuning);
@@ -175,6 +179,18 @@ TEST(PinnedTrialTest, SparkBatch1) {
 }
 TEST(PinnedTrialTest, SparkBatch32) {
   ExpectPinned(Engine::kSpark, 32, {381628, 3759, 0xb800d2c185638718});
+}
+
+// The shuffle-side combiner at --batch=32: each spout/source run crosses
+// the shuffle as per-(key, slide-bucket) partials, so the serde, link and
+// channel events follow the combined run, not the raw one.
+constexpr TrialSpec kCombine{.shuffle_combine = true};
+
+TEST(PinnedTrialTest, FlinkCombineBatch32) {
+  ExpectPinned(Engine::kFlink, 32, {574273, 3762, 0x1326bbcd659aefd9}, kCombine);
+}
+TEST(PinnedTrialTest, StormCombineBatch32) {
+  ExpectPinned(Engine::kStorm, 32, {572809, 3762, 0x1326bbcd659aefd9}, kCombine);
 }
 
 // Spark's inverse reduce keeps one running aggregate per reduce partition
